@@ -20,8 +20,10 @@ from dataclasses import dataclass, field
 from itertools import permutations
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from .lang import BodyAtom, BuiltinAtom, ConjunctiveBody, DenialConstraint, Var
+from .lang import BodyAtom, DenialConstraint, Var, candidate_slots
 from .model import Constant, Instance, NULL, num, sym
+from .null_repairs import null_repairs
+from .tuple_repairs import s_repairs
 
 
 class EmitError(ValueError):
@@ -58,7 +60,6 @@ class EmitOptions:
 @dataclass(frozen=True)
 class ProgramText:
     text: str
-    dialect: str  # "core-asp" | "set-extended-asp"
 
 
 _VAR_LETTERS = ["X", "Y", "Z", "U", "V", "W"]
@@ -100,6 +101,12 @@ def _dc_predicates(dcs: Sequence[DenialConstraint]) -> List[Tuple[str, int]]:
 # Tuple-deletion programs
 
 
+def _tid_vars(n: int, chosen: int) -> List[str]:
+    """Tuple-id variables for n body atoms: `T` for the chosen atom and
+    `T2`, `T3`, ... for the others, in body order."""
+    return ["T" if k == chosen else f"T{k + 2 if k < chosen else k + 1}" for k in range(n)]
+
+
 def _repair_rules(dc: DenialConstraint, flavor: str) -> List[str]:
     atoms = dc.body.atoms
     builtins = [b.render() for b in dc.body.builtins]
@@ -113,14 +120,7 @@ def _repair_rules(dc: DenialConstraint, flavor: str) -> List[str]:
         return [f"{head} :- {', '.join(body)}."]
     rules = []
     for i, chosen in enumerate(atoms):
-        tid_of = {}
-        nxt = 2
-        for j in range(len(atoms)):
-            if j == i:
-                tid_of[j] = "T"
-            else:
-                tid_of[j] = f"T{nxt}"
-                nxt += 1
+        tid_of = _tid_vars(len(atoms), i)
         body = [f"{chosen.relation}({tid_of[i]},{_atom_args(chosen)})"]
         body += [
             f"{a.relation}({tid_of[j]},{_atom_args(a)})"
@@ -193,39 +193,11 @@ def emit_tuple_repair_program(
         for name, arity in preds:
             vs = ",".join(_fresh_vars(arity))
             lines.append(f":~ {name}_a(T,{vs},d).")
-    dialect = (
-        "set-extended-asp"
-        if options.include & {"contingency_sets", "pre_rho"}
-        else "core-asp"
-    )
-    return ProgramText("\n".join(lines).strip() + "\n", dialect)
+    return ProgramText("\n".join(lines).strip() + "\n")
 
 
 # ---------------------------------------------------------------------------
 # Null-update programs
-
-
-def _dc_candidates(dc: DenialConstraint) -> List[Tuple[int, int]]:
-    """(occurrence index, 1-based position) pairs whose nulling can falsify
-    the constraint body: join-variable slots, builtin-variable slots, and
-    constant slots."""
-    counts: Dict[str, int] = {}
-    for atom in dc.body.atoms:
-        for t in atom.terms:
-            if isinstance(t, Var):
-                counts[t.name] = counts.get(t.name, 0) + 1
-    builtin_vars = {
-        t.name for b in dc.body.builtins for t in (b.left, b.right) if isinstance(t, Var)
-    }
-    out = []
-    for i, atom in enumerate(dc.body.atoms):
-        for j, t in enumerate(atom.terms, start=1):
-            if isinstance(t, Var):
-                if counts[t.name] >= 2 or t.name in builtin_vars:
-                    out.append((i, j))
-            elif not t.is_null():
-                out.append((i, j))
-    return out
 
 
 def _nulled_args(atom: BodyAtom, position: int) -> str:
@@ -237,18 +209,11 @@ def _nulled_args(atom: BodyAtom, position: int) -> str:
 
 def _null_update_rules(dc: DenialConstraint) -> List[str]:
     atoms = dc.body.atoms
-    candidates = _dc_candidates(dc)
+    candidates = candidate_slots(dc.body)
     rules = []
     for (i, j) in candidates:
         chosen = atoms[i]
-        tid_of = {}
-        nxt = 2
-        for k in range(len(atoms)):
-            if k == i:
-                tid_of[k] = "T"
-            else:
-                tid_of[k] = f"T{nxt}"
-                nxt += 1
+        tid_of = _tid_vars(len(atoms), i)
         body = [f"{chosen.relation}_a(T,{_atom_args(chosen)},t)"]
         body += [
             f"{a.relation}_a({tid_of[k]},{_atom_args(a)},t)"
@@ -322,7 +287,7 @@ def emit_null_repair_program(
                     f"cause(T,{j},{vs[j - 1]}) :- {name}_a(T,{nulled},s), "
                     f"{name}(T,{','.join(fresh)})."
                 )
-    return ProgramText("\n".join(lines).strip() + "\n", "core-asp")
+    return ProgramText("\n".join(lines).strip() + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -561,9 +526,6 @@ def verify_model_correspondence(
 ) -> CorrespondenceReport:
     """Check that the solver's stable models encode exactly this engine's
     repairs, one for one."""
-    from .null_repairs import null_repairs
-    from .tuple_repairs import s_repairs
-
     if semantics == "tuple":
         repairs = [r.repair for r in s_repairs(instance, dcs)]
     elif semantics == "null":

@@ -44,6 +44,16 @@ def _env(name: str, default: Optional[str] = None) -> Optional[str]:
     return os.environ.get(f"REPCAUSE_{name}", default)
 
 
+def _non_negative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="repcause", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -80,8 +90,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--ics", action="store_true", default=_env("ICS") == "1")
     p.add_argument("--level", choices=["attribute", "tuple"], default="attribute")
-    p.add_argument("--max-contingency-count", type=int, default=None)
-    p.add_argument("--max-contingency-size", type=int, default=None)
+    p.add_argument("--max-contingency-count", type=_non_negative_int, default=None)
+    p.add_argument("--max-contingency-size", type=_non_negative_int, default=None)
 
     p = sub.add_parser("responsibility", help="responsibilities only")
     common(p)
@@ -314,8 +324,11 @@ def _cmd_emit_asp(problem: Problem, args: argparse.Namespace) -> int:
 
 def _cmd_check(problem: Problem, args: argparse.Namespace) -> int:
     dcs = _select_dcs(problem, args)
-    with open(args.models, "r", encoding="utf-8") as fh:
-        models_text = fh.read()
+    try:
+        with open(args.models, "r", encoding="utf-8") as fh:
+            models_text = fh.read()
+    except OSError as exc:
+        raise UsageError(f"cannot read {args.models}: {exc}") from exc
     report = verify_model_correspondence(
         problem.instance, dcs, models_text, semantics=args.semantics
     )

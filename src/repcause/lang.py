@@ -135,12 +135,9 @@ class ViolationWitness:
 
     dc_index: int
     tids: FrozenSet[int]
-    # variable name -> (bound value, positions where the variable is read)
-    binding: Dict[str, Tuple[Constant, FrozenSet[PositionRef]]] = field(hash=False)
-    # positions whose nulling falsifies this assignment: slots read by a
-    # variable with >= 2 occurrences, by a built-in variable, or holding a
-    # constant of the constraint body
-    candidate_positions: FrozenSet[PositionRef] = frozenset()
+    # positions whose nulling falsifies this assignment: the
+    # `candidate_slots` of the constraint body, read through its tuples
+    candidate_positions: FrozenSet[PositionRef]
 
 
 @dataclass
@@ -634,36 +631,45 @@ def negate_query_to_dc(query: QuerySpec) -> List[DenialConstraint]:
     return [DenialConstraint(body) for body in query.disjuncts]
 
 
+def candidate_slots(body: ConjunctiveBody) -> List[Tuple[int, int]]:
+    """(atom index, 1-based position) pairs whose nulling can falsify the
+    body: slots of a variable read at least twice or by a built-in, and
+    slots holding a non-null constant. In a satisfying assignment every
+    such slot holds a non-null value, since each of them takes part in a
+    built-in once the body is normalized."""
+    counts: Dict[str, int] = {}
+    for atom in body.atoms:
+        for t in atom.variables():
+            counts[t.name] = counts.get(t.name, 0) + 1
+    builtin_vars = {v.name for b in body.builtins for v in b.variables()}
+    out = []
+    for i, atom in enumerate(body.atoms):
+        for j, t in enumerate(atom.terms, start=1):
+            if isinstance(t, Var):
+                if counts[t.name] >= 2 or t.name in builtin_vars:
+                    out.append((i, j))
+            elif not t.is_null():
+                out.append((i, j))
+    return out
+
+
 def violations(
     instance: Instance, dcs: Sequence[DenialConstraint]
 ) -> List[ViolationWitness]:
-    """All satisfying assignments of each DC body, with their tid hyperedges,
-    per-variable read positions and nullable candidate positions."""
+    """All satisfying assignments of each DC body, with their tid hyperedges
+    and nullable candidate positions."""
     out: List[ViolationWitness] = []
     for index, dc in enumerate(dcs):
         normal = _normalize(dc.body)
-        builtin_vars = {
-            t.name for b in normal.builtins for t in (b.left, b.right) if isinstance(t, Var)
-        }
-        for tids, slot_binding in _match_body(instance, normal):
-            binding: Dict[str, Tuple[Constant, Set[PositionRef]]] = {}
-            candidates: Set[PositionRef] = set()
-            for slot, (atom_idx, position) in normal.slots.items():
-                rel = normal.atoms[atom_idx][0]
-                ref = PositionRef(rel, tids[atom_idx], position)
-                if slot in normal.origin:
-                    name = normal.origin[slot]
-                    value, refs = binding.get(name, (slot_binding[slot], set()))
-                    refs.add(ref)
-                    binding[name] = (value, refs)
-                if slot in builtin_vars and not slot_binding[slot].is_null():
-                    candidates.add(ref)
+        slots = [(dc.body.atoms[i].relation, i, j) for i, j in candidate_slots(dc.body)]
+        for tids, _ in _match_body(instance, normal):
             out.append(
                 ViolationWitness(
                     dc_index=index,
                     tids=frozenset(tids),
-                    binding={k: (v, frozenset(r)) for k, (v, r) in binding.items()},
-                    candidate_positions=frozenset(candidates),
+                    candidate_positions=frozenset(
+                        PositionRef(rel, tids[i], j) for rel, i, j in slots
+                    ),
                 )
             )
     return out

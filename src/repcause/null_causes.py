@@ -12,24 +12,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Set, Tuple
 
 from .lang import QuerySpec, eval_bcq, negate_query_to_dc
 from .model import Constant, Instance, PositionRef
-from .null_repairs import NullRepairRecord, null_repairs
-
-_DELTA_CACHE: Dict[Tuple[object, str], Tuple[FrozenSet[PositionRef], ...]] = {}
+from .null_repairs import null_repairs
+from .tuple_repairs import minimal_subsets
 
 
 def _repair_deltas(
     instance: Instance, query: QuerySpec
 ) -> Tuple[FrozenSet[PositionRef], ...]:
-    key = (instance._key(), query.render())
-    if key not in _DELTA_CACHE:
-        dcs = negate_query_to_dc(query)
-        _DELTA_CACHE[key] = tuple(r.delta for r in null_repairs(instance, dcs))
-    return _DELTA_CACHE[key]
+    dcs = negate_query_to_dc(query)
+    return tuple(r.delta for r in null_repairs(instance, dcs))
 
 
 @dataclass(frozen=True)
@@ -139,11 +134,13 @@ def is_actual_attr_cause(
     if instance.value_at(position).is_null():
         return False
     others = [p for p in instance.non_null_positions() if p != position]
-    for size in range(len(others) + 1):
-        for combo in combinations(others, size):
-            updated = instance.apply_update(combo)
-            if not eval_bcq(updated, query):
-                continue
-            if not eval_bcq(updated.apply_update([position]), query):
-                return True
-    return False
+
+    def leaves_position_counterfactual(update: FrozenSet[PositionRef]) -> bool:
+        updated = instance.apply_update(update)
+        return eval_bcq(updated, query) and not eval_bcq(
+            updated.apply_update([position]), query
+        )
+
+    # the empty update is a valid (falsy) witness, so compare against None
+    witnesses = minimal_subsets(others, leaves_position_counterfactual)
+    return next(witnesses, None) is not None

@@ -11,12 +11,11 @@ all subsets of non-null positions validates the reduction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Dict, FrozenSet, List, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Sequence
 
 from .lang import DenialConstraint, is_consistent, violations
 from .model import Instance, PositionRef
-from .tuple_repairs import minimal_hitting_sets
+from .tuple_repairs import minimal_hitting_sets, minimal_subsets
 
 
 @dataclass(frozen=True)
@@ -32,14 +31,7 @@ def _candidate_edges(
     """One hyperedge per violating assignment: the nullable positions whose
     change falsifies it. Join positions carrying null already fail the
     assignment, so every collected position is non-null in D."""
-    edges = []
-    for w in violations(instance, dcs):
-        edge: Set[PositionRef] = set(w.candidate_positions)
-        for _, (value, refs) in w.binding.items():
-            if len(refs) >= 2 and not value.is_null():
-                edge.update(refs)
-        edges.append(frozenset(edge))
-    return edges
+    return [w.candidate_positions for w in violations(instance, dcs)]
 
 
 def _records_from_deltas(
@@ -95,14 +87,8 @@ def null_repairs_oracle(
 ) -> List[NullRepairRecord]:
     """Exhaustive check of every subset of non-null positions; exponential,
     for validation only."""
-    positions = instance.non_null_positions()
-    good: Set[FrozenSet[PositionRef]] = set()
-    for size in range(len(positions) + 1):
-        for combo in combinations(positions, size):
-            delta = frozenset(combo)
-            if any(known <= delta for known in good):
-                continue
-            if is_consistent(instance.apply_update(delta), dcs):
-                good.add(delta)
-    minimal = [d for d in good if not any(o < d for o in good)]
-    return _records_from_deltas(instance, minimal, "subset-minimal")
+    deltas = minimal_subsets(
+        instance.non_null_positions(),
+        lambda delta: is_consistent(instance.apply_update(delta), dcs),
+    )
+    return _records_from_deltas(instance, list(deltas), "subset-minimal")

@@ -13,8 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from typing import FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .lang import (
     InclusionDependency,
@@ -24,7 +23,7 @@ from .lang import (
     satisfies_ids,
 )
 from .model import Instance
-from .tuple_repairs import c_repairs, s_repairs
+from .tuple_repairs import c_repairs, minimal_subsets, s_repairs
 
 
 @dataclass(frozen=True)
@@ -101,6 +100,33 @@ def most_responsible_causes(instance: Instance, query: QuerySpec) -> List[int]:
     return sorted(out)
 
 
+def _counterfactual_gammas(
+    instance: Instance, query: QuerySpec, ids: Sequence[InclusionDependency]
+) -> Dict[int, Set[FrozenSet[int]]]:
+    """The ⊆-minimal contingency sets of every endogenous tid, straight from
+    the counterfactual definition: D∖Γ satisfies the inclusion dependencies
+    and the query, and D∖(Γ∪{τ}) satisfies the dependencies but not the
+    query. Exponential; with no dependencies this is the plain oracle."""
+    endo = instance.endogenous_tids()
+    minimal_gammas: Dict[int, Set[FrozenSet[int]]] = {}
+    for tid in endo:
+
+        def is_contingency(gamma: FrozenSet[int]) -> bool:
+            contingent = instance.delete_tuples(gamma)
+            if not (satisfies_ids(contingent, ids) and eval_bcq(contingent, query)):
+                return False
+            counterfactual = contingent.delete_tuples({tid})
+            return satisfies_ids(counterfactual, ids) and not eval_bcq(
+                counterfactual, query
+            )
+
+        others = [t for t in endo if t != tid]
+        gammas = set(minimal_subsets(others, is_contingency))
+        if gammas:
+            minimal_gammas[tid] = gammas
+    return minimal_gammas
+
+
 def causes_oracle(
     instance: Instance, query: QuerySpec
 ) -> List[TupleCauseReport]:
@@ -108,24 +134,7 @@ def causes_oracle(
     for validation and for small inputs only."""
     if not eval_bcq(instance, query):
         return []
-    endo = instance.endogenous_tids()
-    minimal_gammas: dict = {}
-    for tid in endo:
-        others = [t for t in endo if t != tid]
-        gammas: Set[FrozenSet[int]] = set()
-        for size in range(len(others) + 1):
-            for combo in combinations(others, size):
-                gamma = frozenset(combo)
-                if any(known <= gamma for known in gammas):
-                    continue
-                without_gamma = instance.delete_tuples(gamma)
-                if not eval_bcq(without_gamma, query):
-                    continue
-                if not eval_bcq(without_gamma.delete_tuples({tid}), query):
-                    gammas.add(gamma)
-        if gammas:
-            minimal_gammas[tid] = gammas
-    return _build_reports(minimal_gammas, None, None)
+    return _build_reports(_counterfactual_gammas(instance, query, ()), None, None)
 
 
 def actual_causes_under_ics(
@@ -146,26 +155,4 @@ def actual_causes_under_ics(
         raise ValueError("instance violates the hard inclusion dependencies")
     if not eval_bcq(instance, query):
         return []
-    endo = instance.endogenous_tids()
-    minimal_gammas: dict = {}
-    for tid in endo:
-        others = [t for t in endo if t != tid]
-        gammas: Set[FrozenSet[int]] = set()
-        for size in range(len(others) + 1):
-            for combo in combinations(others, size):
-                gamma = frozenset(combo)
-                if any(known <= gamma for known in gammas):
-                    continue
-                contingent = instance.delete_tuples(gamma)
-                if not satisfies_ids(contingent, ids):
-                    continue
-                if not eval_bcq(contingent, query):
-                    continue
-                counterfactual = contingent.delete_tuples({tid})
-                if not satisfies_ids(counterfactual, ids):
-                    continue
-                if not eval_bcq(counterfactual, query):
-                    gammas.add(gamma)
-        if gammas:
-            minimal_gammas[tid] = gammas
-    return _build_reports(minimal_gammas, None, None)
+    return _build_reports(_counterfactual_gammas(instance, query, ids), None, None)

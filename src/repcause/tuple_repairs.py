@@ -9,17 +9,29 @@ cascading deletions of unwitnessed premise tuples.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from itertools import combinations
+from typing import (
+    Callable,
+    FrozenSet,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    TypeVar,
+)
 
 from .lang import (
     DenialConstraint,
     InclusionDependency,
     LangError,
-    is_consistent,
     unsupported_premises,
     violations,
 )
 from .model import Instance
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -42,9 +54,10 @@ def minimal_hitting_sets(
 ) -> List[FrozenSet[int]]:
     """All subset-minimal sets intersecting every edge.
 
-    Branch on the elements of some yet-unhit edge; the candidates collected
-    this way cover every minimal transversal, and a final pairwise subset
-    filter removes the non-minimal ones. With `allowed` given, only those
+    Branch on the elements of the first yet-unhit edge, depth first with an
+    explicit stack so that deep searches cannot exhaust the call stack; the
+    candidates collected this way cover every minimal transversal, and a
+    final pairwise subset filter removes the non-minimal ones. With `allowed` given, only those
     vertices may be picked; an edge with no allowed vertex makes the result
     empty.
     """
@@ -55,20 +68,40 @@ def minimal_hitting_sets(
             return []
 
     found: Set[FrozenSet[int]] = set()
-
-    def search(chosen: FrozenSet[int]) -> None:
+    stack = [frozenset()]
+    while stack:
+        chosen = stack.pop()
         for edge in edge_list:
             if not (edge & chosen):
-                for v in sorted(edge):
-                    search(chosen | {v})
-                return
-        found.add(chosen)
-
-    search(frozenset())
+                stack.extend([chosen | {v} for v in edge])
+                break
+        else:
+            found.add(chosen)
     minimal = [
         h for h in found if not any(other < h for other in found)
     ]
     return sorted(minimal, key=lambda h: (len(h), sorted(h)))
+
+
+def minimal_subsets(
+    universe: Sequence[T], holds: Callable[[FrozenSet[T]], bool]
+) -> Iterator[FrozenSet[T]]:
+    """Yield the subset-minimal subsets of `universe` on which `holds` is
+    true, smallest first and in `itertools.combinations` order within a
+    size. Supersets of a yielded set are skipped without calling `holds`.
+
+    Exhaustive and exponential: this is the brute-force search behind the
+    counterfactual oracles and the `--ics` cause search.
+    """
+    found: List[FrozenSet[T]] = []
+    for size in range(len(universe) + 1):
+        for combo in combinations(universe, size):
+            subset = frozenset(combo)
+            if any(known <= subset for known in found):
+                continue
+            if holds(subset):
+                found.append(subset)
+                yield subset
 
 
 @dataclass(frozen=True)
@@ -178,15 +211,3 @@ def s_repairs_under_hard_ics(
         "subset-minimal",
     )
 
-
-def verify_repair(
-    instance: Instance, record: RepairRecord, dcs: Sequence[DenialConstraint]
-) -> bool:
-    """The repair is consistent and adding back any removed tuple is not."""
-    if not is_consistent(record.repair, dcs):
-        return False
-    for tid in record.removed:
-        grown = instance.delete_tuples(record.removed - {tid})
-        if is_consistent(grown, dcs):
-            return False
-    return True

@@ -165,6 +165,27 @@ class TestCauses:
         assert code == 1
         assert "--answer" in err
 
+    @pytest.mark.parametrize(
+        "flag", ["--max-contingency-count", "--max-contingency-size"]
+    )
+    def test_negative_contingency_cap_is_a_usage_error(self, capsys, flag):
+        code, out, err = run(capsys, "causes", fixture_path("example1.cdl"), flag, "-1")
+        assert code == 1
+        assert out == ""
+        assert "non-negative" in err
+
+    def test_contingency_caps_trim_the_listing(self, capsys):
+        code, out, _ = run(
+            capsys,
+            "causes",
+            fixture_path("example1.cdl"),
+            "--max-contingency-count",
+            "0",
+        )
+        assert code == 0
+        assert "tid 1: responsibility 1/2" in out
+        assert "contingency" not in out
+
     def test_responsibility_omits_contingency_sets(self, capsys):
         code, out, _ = run(capsys, "responsibility", fixture_path("example1.cdl"))
         assert code == 0
@@ -241,6 +262,16 @@ class TestCheck:
         )
         assert code == 1
         assert "MISMATCH" in out
+
+
+    def test_missing_models_file_exits_one(self, capsys, tmp_path):
+        missing = tmp_path / "no-such-models.txt"
+        code, out, err = run(
+            capsys, "check", fixture_path("example1.cdl"), "--models", missing
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"repcause: cannot read {missing}")
 
 
 class TestEval:

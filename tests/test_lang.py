@@ -179,6 +179,22 @@ class TestConstraints:
             {PositionRef("R", 1, 1), PositionRef("R", 1, 2)}
         )
 
+    def test_candidate_positions_cover_join_slots(self):
+        problem = parse_problem("R(1; a, b). S(2; b).\n:- R(X, Y), S(Y).")
+        (w,) = violations(problem.instance, problem.dcs)
+        assert w.candidate_positions == frozenset(
+            {PositionRef("R", 1, 2), PositionRef("S", 2, 1)}
+        )
+
+    def test_candidate_positions_of_a_self_join_matched_by_one_tuple(self):
+        # both atoms read the same tuple, so their slots name the same positions
+        problem = parse_problem("R(1; a, a).\n:- R(X, Y), R(Y, X).")
+        (w,) = violations(problem.instance, problem.dcs)
+        assert w.tids == frozenset({1})
+        assert w.candidate_positions == frozenset(
+            {PositionRef("R", 1, 1), PositionRef("R", 1, 2)}
+        )
+
     def test_satisfies_ids(self, load):
         problem = load("example_registrar.cdl")
         assert satisfies_ids(problem.instance, problem.ids)

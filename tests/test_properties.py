@@ -105,6 +105,10 @@ def test_tuple_repairs_are_consistent_and_incomparable():
         removed = [r.removed for r in records]
         for rec in records:
             assert is_consistent(rec.repair, problem.dcs)
+            # maximality: adding back any removed tuple is inconsistent
+            for tid in rec.removed:
+                grown = problem.instance.delete_tuples(rec.removed - {tid})
+                assert not is_consistent(grown, problem.dcs)
         for a in removed:
             for b in removed:
                 assert a == b or not a <= b

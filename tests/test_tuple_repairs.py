@@ -13,6 +13,7 @@ from repcause import (
     s_repairs,
     s_repairs_under_hard_ics,
 )
+from repcause.tuple_repairs import minimal_subsets
 
 
 def removed_sets(records):
@@ -45,6 +46,16 @@ class TestMinimalHittingSets:
             for b in hits:
                 assert a == b or not a <= b
 
+    def test_deep_search_does_not_hit_the_recursion_limit(self):
+        # one singleton edge per tuple: the only transversal picks every
+        # vertex, one search level each, deeper than the default stack allows
+        problem = parse_problem(
+            "\n".join(f"S({t}; a)." for t in range(1, 1201)) + "\n:- S(a)."
+        )
+        (record,) = s_repairs(problem.instance, problem.dcs)
+        assert record.removed == frozenset(range(1, 1201))
+        assert len(record.repair) == 0
+
     def test_matches_brute_force(self):
         edges = [frozenset(e) for e in [{1, 2, 3}, {3, 4}, {1, 5}, {2, 4, 5}]]
         universe = sorted(set(chain.from_iterable(edges)))
@@ -56,6 +67,30 @@ class TestMinimalHittingSets:
         }
         expected = {h for h in all_hits if not any(o < h for o in all_hits)}
         assert set(minimal_hitting_sets(edges)) == expected
+
+
+class TestMinimalSubsets:
+    def test_smallest_first_and_supersets_skipped(self):
+        asked = []
+
+        def holds(subset):
+            asked.append(subset)
+            return subset in ({2}, {1, 3}, {1, 2, 3})
+
+        found = list(minimal_subsets([1, 2, 3], holds))
+        assert found == [frozenset({2}), frozenset({1, 3})]
+        # every superset of {2} or of {1, 3} was skipped unasked
+        assert asked == [
+            frozenset(),
+            frozenset({1}),
+            frozenset({2}),
+            frozenset({3}),
+            frozenset({1, 3}),
+        ]
+
+    def test_empty_set_is_a_result(self):
+        assert next(minimal_subsets([1, 2], lambda s: True), None) == frozenset()
+        assert list(minimal_subsets([1, 2], lambda s: False)) == []
 
 
 class TestSRepairs:
