@@ -38,7 +38,6 @@ class EmitOptions:
     flavor: str = "non-disjunctive"  # or "disjunctive"
     include: FrozenSet[str] = frozenset()
     maxint: int = 100
-    semantics: str = "tuple"  # or "null"
 
     def validate(self, instance: Instance) -> None:
         if self.flavor not in ("disjunctive", "non-disjunctive"):
@@ -240,7 +239,7 @@ def _null_update_rules(dc: DenialConstraint) -> List[str]:
 def emit_null_repair_program(
     instance: Instance,
     dcs: Sequence[DenialConstraint],
-    options: EmitOptions = EmitOptions(semantics="null"),
+    options: EmitOptions = EmitOptions(),
 ) -> ProgramText:
     options.validate(instance)
     lines = _fact_line(instance)

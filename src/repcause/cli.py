@@ -6,8 +6,8 @@ the textual format of the parser; results are printed as deterministic text
 or JSON. Every flag can also be set through an environment variable named
 REPCAUSE_<FLAG>; explicit flags win.
 
-Exit codes: 0 success, 1 usage error (including a failed model check),
-2 parse error.
+Exit codes: 0 success, 1 usage error (including a failed model check) or
+an input too large for the engine, 2 parse error.
 """
 from __future__ import annotations
 
@@ -311,12 +311,7 @@ def _cmd_causes(problem: Problem, args: argparse.Namespace, with_sets: bool) -> 
 def _cmd_emit_asp(problem: Problem, args: argparse.Namespace) -> int:
     dcs = _select_dcs(problem, args)
     include = frozenset(p for p in args.include.split(",") if p)
-    options = EmitOptions(
-        flavor=args.flavor,
-        include=include,
-        maxint=args.maxint,
-        semantics=args.semantics,
-    )
+    options = EmitOptions(flavor=args.flavor, include=include, maxint=args.maxint)
     emit = emit_null_repair_program if args.semantics == "null" else emit_tuple_repair_program
     print(emit(problem.instance, dcs, options).text, end="")
     return 0
@@ -404,6 +399,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         raise UsageError(f"unknown command {args.command!r}")
     except (UsageError, LangError, ValueError) as exc:
         print(f"repcause: {exc}", file=sys.stderr)
+        return 1
+    except (RecursionError, MemoryError) as exc:
+        print(f"repcause: input too large: {type(exc).__name__}", file=sys.stderr)
         return 1
 
 

@@ -429,8 +429,15 @@ def _check_query(query: QuerySpec, instance: Instance) -> None:
 
 
 def _check_id(dep: InclusionDependency, instance: Instance) -> None:
-    instance.declare(dep.premise.relation, len(dep.premise.terms))
-    instance.declare(dep.conclusion.relation, len(dep.conclusion.terms))
+    for atom in (dep.premise, dep.conclusion):
+        names = [t.name for t in atom.variables()]
+        if len(names) != len(atom.terms) or len(set(names)) != len(names):
+            raise LangError(
+                f"inclusion dependency {dep.premise.render()} -> "
+                f"{dep.conclusion.render()}: each atom must hold distinct "
+                "variables only"
+            )
+        instance.declare(atom.relation, len(atom.terms))
 
 
 def parse_problem(text: str) -> Problem:
@@ -458,8 +465,6 @@ class _NormalBody:
 
     atoms: Tuple[Tuple[str, Tuple[str, ...]], ...]  # (relation, slot var names)
     builtins: Tuple[BuiltinAtom, ...]
-    # fresh slot var -> (atom index, 1-based position)
-    slots: Dict[str, Tuple[int, int]] = field(hash=False)
     # fresh slot var -> original variable name, for slots bound to a variable
     origin: Dict[str, str] = field(hash=False)
 
@@ -469,15 +474,13 @@ def _normalize(body: ConjunctiveBody) -> _NormalBody:
     first_seen: Dict[str, str] = {}
     atoms = []
     builtins: List[BuiltinAtom] = []
-    slots: Dict[str, Tuple[int, int]] = {}
     origin: Dict[str, str] = {}
-    for i, atom in enumerate(body.atoms):
+    for atom in body.atoms:
         slot_names = []
-        for j, term in enumerate(atom.terms, start=1):
+        for term in atom.terms:
             counter += 1
             fresh = f"{_FRESH_PREFIX}{counter}"
             slot_names.append(fresh)
-            slots[fresh] = (i, j)
             if isinstance(term, Var):
                 origin[fresh] = term.name
                 if term.name in first_seen:
@@ -491,7 +494,7 @@ def _normalize(body: ConjunctiveBody) -> _NormalBody:
         left = Var(first_seen[b.left.name]) if isinstance(b.left, Var) else b.left
         right = Var(first_seen[b.right.name]) if isinstance(b.right, Var) else b.right
         builtins.append(BuiltinAtom(b.op, left, right))
-    return _NormalBody(tuple(atoms), tuple(builtins), slots, origin)
+    return _NormalBody(tuple(atoms), tuple(builtins), origin)
 
 
 def eval_builtin(op: str, left: Constant, right: Constant) -> bool:
@@ -688,46 +691,32 @@ def unsupported_premises(
 ) -> Set[int]:
     """Tids of premise tuples with no witnessing conclusion tuple.
 
+    Each dependency is a semijoin: a premise tuple's values at the shared
+    variables are looked up in the set of conclusion values there. Both
+    atoms hold distinct variables only; the parser rejects other shapes.
+
     A shared variable must match through equal non-null values: null never
     witnesses a join, so a premise holding null at a shared position counts
     as unsupported.
     """
     bad: Set[int] = set()
     for dep in ids:
-        shared = dep.shared_vars()
-        prem_positions = {
-            t.name: j
-            for j, t in enumerate(dep.premise.terms)
-            if isinstance(t, Var) and t in shared
-        }
-        concl_positions = {
-            t.name: j
-            for j, t in enumerate(dep.conclusion.terms)
-            if isinstance(t, Var) and t in shared
+        shared = sorted(dep.shared_vars(), key=lambda v: v.name)
+        prem_at = [dep.premise.terms.index(v) for v in shared]
+        concl_at = [dep.conclusion.terms.index(v) for v in shared]
+        # a conclusion key holding null never matches: premise keys holding
+        # null are rejected before the lookup
+        keys = {
+            tuple(t.values[j] for j in concl_at)
+            for t in instance.tuples_of(dep.conclusion.relation)
         }
         for tup in instance.tuples_of(dep.premise.relation):
             if len(tup.values) != len(dep.premise.terms):
                 raise LangError(
                     f"arity mismatch for {dep.premise.relation} in inclusion dependency"
                 )
-            required = {
-                name: tup.values[j] for name, j in prem_positions.items()
-            }
-            if any(v.is_null() for v in required.values()):
-                bad.add(tup.tid)
-                continue
-            witnessed = False
-            for cand in instance.tuples_of(dep.conclusion.relation):
-                ok = True
-                for name, j in concl_positions.items():
-                    v = cand.values[j]
-                    if v.is_null() or v != required[name]:
-                        ok = False
-                        break
-                if ok:
-                    witnessed = True
-                    break
-            if not witnessed:
+            key = tuple(tup.values[j] for j in prem_at)
+            if any(v.is_null() for v in key) or key not in keys:
                 bad.add(tup.tid)
     return bad
 

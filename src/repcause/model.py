@@ -7,8 +7,8 @@ returns a fresh instance and never touches its input.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 
 class ModelError(ValueError):
@@ -77,10 +77,6 @@ class PositionRef:
 
     def sort_key(self) -> Tuple[str, int, int]:
         return (self.relation, self.tid, self.position)
-
-
-def sorted_positions(refs: Iterable[PositionRef]) -> List[PositionRef]:
-    return sorted(refs, key=PositionRef.sort_key)
 
 
 class Instance:

@@ -2,9 +2,11 @@
 
 Subset-maximal consistent subinstances are the complements of the minimal
 hitting sets (transversals) of the conflict hypergraph, whose hyperedges are
-the tid-sets of constraint violations. Cardinality-minimal repairs are the
-hitting sets of minimum size. Hard inclusion dependencies are handled by
-cascading deletions of unwitnessed premise tuples.
+the tid-sets of constraint violations. `minimal_hitting_sets` enumerates
+them with Berge's edge-by-edge algorithm, which the null-update repairs
+share. Cardinality-minimal repairs are the hitting sets of minimum size.
+Hard inclusion dependencies are handled by cascading deletions of
+unwitnessed premise tuples.
 """
 from __future__ import annotations
 
@@ -52,35 +54,33 @@ def minimal_hitting_sets(
     edges: Iterable[FrozenSet[int]],
     allowed: Optional[Set[int]] = None,
 ) -> List[FrozenSet[int]]:
-    """All subset-minimal sets intersecting every edge.
+    """All subset-minimal sets intersecting every edge, ordered by
+    (size, sorted members).
 
-    Branch on the elements of the first yet-unhit edge, depth first with an
-    explicit stack so that deep searches cannot exhaust the call stack; the
-    candidates collected this way cover every minimal transversal, and a
-    final pairwise subset filter removes the non-minimal ones. With `allowed` given, only those
-    vertices may be picked; an edge with no allowed vertex makes the result
-    empty.
+    Berge's algorithm: starting from the empty set, add the deduplicated
+    edges one at a time, smallest first, keeping the minimal transversals of
+    the edges seen so far. A set that already hits the new edge is kept; a
+    set that misses it is extended by each vertex of the edge in turn. An
+    extended set is dropped exactly when it contains a kept set, and that
+    one check suffices: two extended sets are never comparable, since that
+    needs the vertex added to one to lie in the other, which misses the
+    edge; and an extended set is never inside a kept set, since two minimal
+    sets of the previous round are never comparable. With `allowed` given,
+    only those vertices may be picked; an edge with no allowed vertex makes
+    the result empty.
     """
-    edge_list = sorted({e for e in edges}, key=lambda e: (len(e), sorted(e)))
+    edge_list = sorted(set(edges), key=lambda e: (len(e), sorted(e)))
     if allowed is not None:
-        edge_list = [e & frozenset(allowed) for e in edge_list]
+        edge_list = [e.intersection(allowed) for e in edge_list]
         if any(not e for e in edge_list):
             return []
 
-    found: Set[FrozenSet[int]] = set()
-    stack = [frozenset()]
-    while stack:
-        chosen = stack.pop()
-        for edge in edge_list:
-            if not (edge & chosen):
-                stack.extend([chosen | {v} for v in edge])
-                break
-        else:
-            found.add(chosen)
-    minimal = [
-        h for h in found if not any(other < h for other in found)
-    ]
-    return sorted(minimal, key=lambda h: (len(h), sorted(h)))
+    hits: List[FrozenSet[int]] = [frozenset()]
+    for edge in edge_list:
+        kept = [h for h in hits if h & edge]
+        extended = [h | {v} for h in hits if not h & edge for v in edge]
+        hits = kept + [x for x in extended if not any(k <= x for k in kept)]
+    return sorted(hits, key=lambda h: (len(h), sorted(h)))
 
 
 def minimal_subsets(
@@ -205,9 +205,5 @@ def s_repairs_under_hard_ics(
     removed_sets = [
         r for r in candidates if not any(other < r for other in candidates)
     ]
-    return _records(
-        instance,
-        sorted(removed_sets, key=lambda h: (len(h), sorted(h))),
-        "subset-minimal",
-    )
+    return _records(instance, removed_sets, "subset-minimal")
 

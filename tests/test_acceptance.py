@@ -207,13 +207,13 @@ def test_criterion_09_golden_emission():
         (
             "example7.cdl",
             emit_null_repair_program,
-            EmitOptions(semantics="null"),
+            EmitOptions(),
             "example7_null.dlv",
         ),
         (
             "example13.cdl",
             emit_null_repair_program,
-            EmitOptions(semantics="null"),
+            EmitOptions(),
             "example13_null.dlv",
         ),
     ]

@@ -211,7 +211,7 @@ class TestSelfContainedness:
         [
             ("example1.cdl", "tuple", EmitOptions(include=ALL_EXTRAS)),
             ("example5.cdl", "tuple", EmitOptions()),
-            ("example6.cdl", "null", EmitOptions(semantics="null")),
+            ("example6.cdl", "null", EmitOptions()),
         ],
     )
     def test_every_predicate_is_defined_or_derived(self, load, fixture, emit, opts):

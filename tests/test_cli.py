@@ -309,6 +309,25 @@ class TestExitCodes:
         assert code == 2
         assert "parse error" in err
 
+    def test_malformed_inclusion_dependency_exits_two(self, capsys, tmp_path):
+        bad = tmp_path / "bad.cdl"
+        bad.write_text("R(1; a). S(2; b).\nR(X) -> S(X, c).\n")
+        code, _, err = run(capsys, "repairs", bad, "--ics")
+        assert code == 2
+        assert "inclusion dependency" in err
+
+    def test_too_deep_a_constraint_exits_one_without_traceback(self, capsys, tmp_path):
+        # 1200 body atoms nest the body matcher deeper than the interpreter's
+        # recursion limit
+        deep = tmp_path / "deep.cdl"
+        atoms = ", ".join(f"S(X{i})" for i in range(1, 1201))
+        deep.write_text(f"S(1; a).\n:- {atoms}.\n")
+        code, out, err = run(capsys, "repairs", deep)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("repcause: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_missing_file_exits_one(self, capsys):
         code, _, _ = run(capsys, "eval", "no-such-file.cdl")
         assert code == 1

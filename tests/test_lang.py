@@ -59,6 +59,19 @@ class TestParsing:
         assert len(problem.ids) == 1
         assert problem.ids[0].premise.relation == "Dep"
 
+    @pytest.mark.parametrize(
+        "dependency",
+        [
+            "R(X) -> S(X, c).",  # constant in the conclusion
+            "R(X, y) -> S(X).",  # constant in the premise
+            "R(X, X) -> S(X).",  # repeated premise variable
+            "R(X) -> S(X, X).",  # repeated conclusion variable
+        ],
+    )
+    def test_inclusion_dependency_needs_distinct_variables(self, dependency):
+        with pytest.raises(LangError, match="inclusion dependency"):
+            parse_problem(f"R(1; a). S(2; b, a).\n{dependency}")
+
     def test_query_lookup_by_name_and_default(self):
         problem = parse_problem("q :- P(X)?\nr :- R(X)?")
         assert problem.query("r").name == "r"

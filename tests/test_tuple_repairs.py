@@ -1,3 +1,4 @@
+import random
 from itertools import chain, combinations
 
 import pytest
@@ -57,16 +58,54 @@ class TestMinimalHittingSets:
         assert len(record.repair) == 0
 
     def test_matches_brute_force(self):
-        edges = [frozenset(e) for e in [{1, 2, 3}, {3, 4}, {1, 5}, {2, 4, 5}]]
-        universe = sorted(set(chain.from_iterable(edges)))
-        all_hits = {
-            frozenset(c)
-            for size in range(len(universe) + 1)
-            for c in combinations(universe, size)
-            if all(set(c) & e for e in edges)
-        }
-        expected = {h for h in all_hits if not any(o < h for o in all_hits)}
-        assert set(minimal_hitting_sets(edges)) == expected
+        # one fixed hypergraph plus a seeded corpus of random ones, with
+        # duplicate and nested edges and an optional `allowed` set; the
+        # output must equal the brute-force minimal transversals in
+        # (size, sorted members) order
+        rng = random.Random(2017)
+        cases = [([frozenset(e) for e in [{1, 2, 3}, {3, 4}, {1, 5}, {2, 4, 5}]], None)]
+        for _ in range(300):
+            vertices = range(1, rng.randint(1, 8) + 1)
+            edges = [
+                frozenset(rng.sample(vertices, rng.randint(1, min(len(vertices), 4))))
+                for _ in range(rng.randint(0, 6))
+            ]
+            if edges and rng.random() < 0.5:
+                edges.append(rng.choice(edges))
+            if edges and rng.random() < 0.5:
+                edges.append(rng.choice(edges) | {rng.choice(vertices)})
+            allowed = None
+            if rng.random() < 0.4:
+                allowed = set(rng.sample(vertices, rng.randint(0, len(vertices))))
+            cases.append((edges, allowed))
+        for edges, allowed in cases:
+            universe = sorted(set(chain.from_iterable(edges)))
+            if allowed is not None:
+                universe = [v for v in universe if v in allowed]
+            all_hits = [
+                frozenset(c)
+                for size in range(len(universe) + 1)
+                for c in combinations(universe, size)
+                if all(set(c) & e for e in edges)
+            ]
+            expected = [h for h in all_hits if not any(o < h for o in all_hits)]
+            expected.sort(key=lambda h: (len(h), sorted(h)))
+            assert minimal_hitting_sets(edges, allowed=allowed) == expected
+
+    def test_path_and_cycle_counts_follow_padovan_and_perrin(self):
+        # the minimal vertex covers of the path on n vertices number
+        # Padovan(n + 1), those of the n-cycle Perrin(n); both sequences
+        # satisfy a(n) = a(n - 2) + a(n - 3)
+        padovan, perrin = [1, 1, 1], [3, 0, 2]
+        while len(padovan) < 27:
+            padovan.append(padovan[-2] + padovan[-3])
+            perrin.append(perrin[-2] + perrin[-3])
+        for n in range(2, 26):
+            path = [frozenset({i, i + 1}) for i in range(1, n)]
+            assert len(minimal_hitting_sets(path)) == padovan[n + 1]
+            if n >= 3:
+                cycle = path + [frozenset({n, 1})]
+                assert len(minimal_hitting_sets(cycle)) == perrin[n]
 
 
 class TestMinimalSubsets:
