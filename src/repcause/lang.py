@@ -6,12 +6,30 @@ constants are rewritten to fresh variables plus explicit equality built-ins
 before evaluation, and every built-in with a null operand is false. A
 variable occurring in a single atom position may still bind null; the atom
 matches and the position is simply irrelevant to the query.
+
+A body is matched by an indexed join planned once per body object: the
+equalities written for joins and constants become hash-index keys, so a join
+probes the tuples it needs rather than scanning every pair. The plan keeps
+the order and the exceptions of a nested loop over tuples in tid order.
 """
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple, Union
+from dataclasses import dataclass
+from functools import cached_property
+from operator import itemgetter
+from typing import (
+    Dict,
+    FrozenSet,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    Union,
+)
 
 from .model import NULL, Constant, Instance, ModelError, PositionRef, num, sym
 
@@ -81,6 +99,11 @@ class ConjunctiveBody:
     def render(self) -> str:
         parts = [a.render() for a in self.atoms] + [b.render() for b in self.builtins]
         return ", ".join(parts)
+
+    @cached_property
+    def _plan(self) -> "_Plan":
+        """The matching plan of `_match_body`, built once per body."""
+        return _build_plan(self)
 
     def variables(self) -> Set[Var]:
         out: Set[Var] = set()
@@ -458,15 +481,17 @@ def render_problem(problem: Problem) -> str:
 _FRESH_PREFIX = "_v"
 
 
-@dataclass(frozen=True)
-class _NormalBody:
+class _NormalBody(NamedTuple):
     """A body with every atom slot holding a distinct fresh variable; joins,
-    constants and the original built-ins all live in `builtins`."""
+    constants and the original built-ins all live in `builtins`. The first
+    `n_joins` of them are the equalities written for joins and constants,
+    in slot order; the original built-ins follow, in their order."""
 
     atoms: Tuple[Tuple[str, Tuple[str, ...]], ...]  # (relation, slot var names)
     builtins: Tuple[BuiltinAtom, ...]
-    # fresh slot var -> original variable name, for slots bound to a variable
-    origin: Dict[str, str] = field(hash=False)
+    n_joins: int
+    # original variable name -> the slot of its first occurrence
+    first_slot: Dict[str, str]
 
 
 def _normalize(body: ConjunctiveBody) -> _NormalBody:
@@ -474,7 +499,6 @@ def _normalize(body: ConjunctiveBody) -> _NormalBody:
     first_seen: Dict[str, str] = {}
     atoms = []
     builtins: List[BuiltinAtom] = []
-    origin: Dict[str, str] = {}
     for atom in body.atoms:
         slot_names = []
         for term in atom.terms:
@@ -482,7 +506,6 @@ def _normalize(body: ConjunctiveBody) -> _NormalBody:
             fresh = f"{_FRESH_PREFIX}{counter}"
             slot_names.append(fresh)
             if isinstance(term, Var):
-                origin[fresh] = term.name
                 if term.name in first_seen:
                     builtins.append(BuiltinAtom("=", Var(first_seen[term.name]), Var(fresh)))
                 else:
@@ -490,11 +513,86 @@ def _normalize(body: ConjunctiveBody) -> _NormalBody:
             else:
                 builtins.append(BuiltinAtom("=", Var(fresh), term))
         atoms.append((atom.relation, tuple(slot_names)))
+    n_joins = len(builtins)
     for b in body.builtins:
         left = Var(first_seen[b.left.name]) if isinstance(b.left, Var) else b.left
         right = Var(first_seen[b.right.name]) if isinstance(b.right, Var) else b.right
         builtins.append(BuiltinAtom(b.op, left, right))
-    return _NormalBody(tuple(atoms), tuple(builtins), origin)
+    return _NormalBody(tuple(atoms), tuple(builtins), n_joins, first_seen)
+
+
+class _Step(NamedTuple):
+    """How `_match_body` extends a partial match by one atom.
+
+    Values live in one list: every slot in atom order, then the plan's
+    constants. The atom's tuple fills `start:stop`. A keyed atom reads only
+    the tuples whose values at `key_positions` equal the values at
+    `probe_at`; `checks` are (op, left, right) built-ins over list indices
+    whose last operand this atom binds."""
+
+    relation: str
+    start: int
+    stop: int
+    key_positions: Tuple[int, ...]
+    probe_at: Tuple[int, ...]
+    checks: Tuple[Tuple[str, int, int], ...]
+
+
+class _Plan(NamedTuple):
+    slots: Tuple[str, ...]
+    constants: Tuple[Constant, ...]
+    steps: Tuple[_Step, ...]
+    first_slot: Dict[str, str]
+
+
+def _build_plan(body: ConjunctiveBody) -> _Plan:
+    """Place every built-in of the normalized body at the first atom that
+    binds all its operands. A join or constant equality pairing a slot of
+    atom i with a constant or with a slot of an earlier atom becomes a key
+    of atom i; every other built-in, the original ones included, is a check
+    there, in list order. A built-in with no variable is checked at atom 0."""
+    normal = _normalize(body)
+    starts: List[int] = []
+    slots: List[str] = []
+    for _, names in normal.atoms:
+        starts.append(len(slots))
+        slots.extend(names)
+    index = {name: k for k, name in enumerate(slots)}
+    atom_of = {name: i for i, (_, names) in enumerate(normal.atoms) for name in names}
+    constants: List[Constant] = []
+
+    def at(term: Term) -> int:
+        if isinstance(term, Var):
+            return index[term.name]
+        constants.append(term)
+        return len(slots) + len(constants) - 1
+
+    keys: List[List[Tuple[int, int]]] = [[] for _ in normal.atoms]
+    checks: List[List[Tuple[str, int, int]]] = [[] for _ in normal.atoms]
+    for k, b in enumerate(normal.builtins):
+        bound_at = [atom_of[t.name] if isinstance(t, Var) else -1 for t in (b.left, b.right)]
+        i = max(max(bound_at), 0)
+        if k < normal.n_joins and min(bound_at) < i:
+            # the slot of atom i is the operand bound there; the other is a
+            # constant or a slot of an earlier atom
+            slot, other = (b.left, b.right) if bound_at[0] == i else (b.right, b.left)
+            keys[i].append((index[slot.name] - starts[i], at(other)))
+        else:
+            checks[i].append((b.op, at(b.left), at(b.right)))
+    steps = tuple(
+        _Step(
+            rel,
+            start,
+            start + len(names),
+            tuple(p for p, _ in atom_keys),
+            tuple(q for _, q in atom_keys),
+            tuple(atom_checks),
+        )
+        for (rel, names), start, atom_keys, atom_checks in zip(
+            normal.atoms, starts, keys, checks
+        )
+    )
+    return _Plan(tuple(slots), tuple(constants), steps, normal.first_slot)
 
 
 def eval_builtin(op: str, left: Constant, right: Constant) -> bool:
@@ -523,63 +621,76 @@ def eval_builtin(op: str, left: Constant, right: Constant) -> bool:
     raise LangError(f"unknown builtin {op}")
 
 
-def _term_value(term: Term, binding: Dict[str, Constant]) -> Optional[Constant]:
-    if isinstance(term, Var):
-        return binding.get(term.name)
-    return term
-
-
 def _match_body(
-    instance: Instance, normal: _NormalBody
+    instance: Instance, plan: _Plan
 ) -> Iterator[Tuple[Tuple[int, ...], Dict[str, Constant]]]:
-    """All satisfying assignments, yielded as (tids per atom, slot binding).
+    """All satisfying assignments, yielded as (tids per atom, slot binding),
+    in lexicographic order of the tids.
 
-    Naive nested-loop join with early built-in pruning; tuples are visited in
-    tid order so the output order is deterministic.
+    An indexed join, walked with a stack of iterators rather than by
+    recursion, so a body of any length can be matched. Each atom's tuples
+    are read in tid order; a keyed atom reads them from a hash index on its
+    key positions, built per call, which leaves out tuples holding null
+    there: an equality with a null operand is false, so a probe holding null
+    matches nothing.
+
+    Only the equalities `_normalize` writes for joins and constants become
+    keys; the original built-ins stay checks. That keeps the exceptions of a
+    plain nested loop that tests every built-in in list order once its
+    operands are bound: the join and constant equalities come first in that
+    list and an equality never raises, so a tuple a key rules out fails
+    before an order comparison could raise `CrossTypeComparisonError`.
     """
-    by_rel: Dict[str, List] = {}
-    for rel, _ in normal.atoms:
-        if rel not in by_rel:
-            by_rel[rel] = sorted(instance.tuples_of(rel), key=lambda t: t.tid)
+    steps = plan.steps
+    # per atom: its tuples, or for a keyed atom a dict from key to tuples
+    sources: List = []
+    for step in steps:
+        tuples = instance.tuples_of(step.relation)
+        if tuples and len(tuples[0].values) != step.stop - step.start:
+            raise LangError(f"arity mismatch for {step.relation} in a body")
+        if not step.key_positions:
+            sources.append(tuples)
+            continue
+        key_of = itemgetter(*step.key_positions)
+        by_key: Dict[object, List] = {}
+        for tup in tuples:
+            if not any(tup.values[j].is_null() for j in step.key_positions):
+                by_key.setdefault(key_of(tup.values), []).append(tup)
+        sources.append(by_key)
+    probes = [itemgetter(*s.probe_at) if s.probe_at else None for s in steps]
+    values: List[Optional[Constant]] = [None] * len(plan.slots) + list(plan.constants)
 
-    n = len(normal.atoms)
-    chosen: List[int] = []
-    binding: Dict[str, Constant] = {}
+    def candidates(i: int) -> Iterator:
+        probe = probes[i]
+        return iter(sources[i].get(probe(values), ()) if probe else sources[i])
 
-    def pending_ok() -> bool:
-        for b in normal.builtins:
-            left = _term_value(b.left, binding)
-            right = _term_value(b.right, binding)
-            if left is None or right is None:
-                continue
-            if not eval_builtin(b.op, left, right):
-                return False
-        return True
-
-    def walk(i: int) -> Iterator[Tuple[Tuple[int, ...], Dict[str, Constant]]]:
-        if i == n:
-            yield tuple(chosen), dict(binding)
-            return
-        rel, slot_names = normal.atoms[i]
-        for tup in by_rel[rel]:
-            for name, value in zip(slot_names, tup.values):
-                binding[name] = value
-            chosen.append(tup.tid)
-            if pending_ok():
-                yield from walk(i + 1)
-            chosen.pop()
-            for name in slot_names:
-                del binding[name]
-
-    yield from walk(0)
+    tids = [0] * len(steps)
+    last = len(steps) - 1
+    stack = [candidates(0)]
+    while stack:
+        i = len(stack) - 1
+        step = steps[i]
+        for tup in stack[i]:
+            values[step.start : step.stop] = tup.values
+            for op, left, right in step.checks:
+                if not eval_builtin(op, values[left], values[right]):
+                    break
+            else:
+                tids[i] = tup.tid
+                if i == last:
+                    yield tuple(tids), dict(zip(plan.slots, values))
+                    continue
+                stack.append(candidates(i + 1))
+                break
+        else:
+            stack.pop()
 
 
 def eval_bcq(instance: Instance, query: QuerySpec) -> bool:
     if not query.is_boolean():
         raise LangError(f"query {query.name} is open; eval_bcq needs a Boolean query")
     for body in query.disjuncts:
-        normal = _normalize(body)
-        for _ in _match_body(instance, normal):
+        for _ in _match_body(instance, body._plan):
             return True
     return False
 
@@ -589,12 +700,9 @@ def eval_open(instance: Instance, query: QuerySpec) -> Set[Tuple[Constant, ...]]
     single-occurrence variables."""
     answers: Set[Tuple[Constant, ...]] = set()
     for body in query.disjuncts:
-        normal = _normalize(body)
-        head_slots = []
-        for v in query.head_vars:
-            slot = next(s for s, o in normal.origin.items() if o == v.name)
-            head_slots.append(slot)
-        for _, binding in _match_body(instance, normal):
+        plan = body._plan
+        head_slots = [plan.first_slot[v.name] for v in query.head_vars]
+        for _, binding in _match_body(instance, plan):
             answers.add(tuple(binding[s] for s in head_slots))
     return answers
 
@@ -663,9 +771,8 @@ def violations(
     and nullable candidate positions."""
     out: List[ViolationWitness] = []
     for index, dc in enumerate(dcs):
-        normal = _normalize(dc.body)
         slots = [(dc.body.atoms[i].relation, i, j) for i, j in candidate_slots(dc.body)]
-        for tids, _ in _match_body(instance, normal):
+        for tids, _ in _match_body(instance, dc.body._plan):
             out.append(
                 ViolationWitness(
                     dc_index=index,
@@ -680,8 +787,7 @@ def violations(
 
 def is_consistent(instance: Instance, dcs: Sequence[DenialConstraint]) -> bool:
     for dc in dcs:
-        normal = _normalize(dc.body)
-        for _ in _match_body(instance, normal):
+        for _ in _match_body(instance, dc.body._plan):
             return False
     return True
 

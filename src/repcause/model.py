@@ -89,6 +89,12 @@ class Instance:
     def __init__(self) -> None:
         self._schema: Dict[str, int] = {}
         self._tuples: Dict[int, DbTuple] = {}
+        # tids are never freed within an instance, so the smallest free tid
+        # never decreases and the auto-tid search can start from here
+        self._next_tid = 1
+        # relation -> its tuples in tid order; built on first use, dropped
+        # by `add_fact`
+        self._by_relation: Optional[Dict[str, Tuple[DbTuple, ...]]] = None
 
     # -- construction -----------------------------------------------------
 
@@ -111,14 +117,15 @@ class Instance:
         values = tuple(values)
         self.declare(relation, len(values))
         if tid is None:
-            tid = 1
-            while tid in self._tuples:
-                tid += 1
+            while self._next_tid in self._tuples:
+                self._next_tid += 1
+            tid = self._next_tid
         elif tid in self._tuples:
             raise ModelError(f"duplicate tid {tid}")
         elif tid < 1:
             raise ModelError(f"tid must be positive, got {tid}")
         self._tuples[tid] = DbTuple(relation, tid, values, endogenous)
+        self._by_relation = None
         return tid
 
     # -- access -----------------------------------------------------------
@@ -153,8 +160,15 @@ class Instance:
         """All tuples in canonical (relation, tid) order."""
         return sorted(self._tuples.values(), key=lambda t: (t.relation, t.tid))
 
-    def tuples_of(self, relation: str) -> List[DbTuple]:
-        return [t for t in self.tuples() if t.relation == relation]
+    def tuples_of(self, relation: str) -> Tuple[DbTuple, ...]:
+        """The tuples of one relation in tid order."""
+        if self._by_relation is None:
+            grouped: Dict[str, List[DbTuple]] = {}
+            for tid in sorted(self._tuples):
+                tup = self._tuples[tid]
+                grouped.setdefault(tup.relation, []).append(tup)
+            self._by_relation = {rel: tuple(ts) for rel, ts in grouped.items()}
+        return self._by_relation.get(relation, ())
 
     def value_at(self, ref: PositionRef) -> Constant:
         tup = self.get(ref.tid)

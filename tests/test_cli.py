@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repcause
 from repcause import programs_equivalent
 from repcause.cli import main
 
@@ -316,17 +321,43 @@ class TestExitCodes:
         assert code == 2
         assert "inclusion dependency" in err
 
-    def test_too_deep_a_constraint_exits_one_without_traceback(self, capsys, tmp_path):
-        # 1200 body atoms nest the body matcher deeper than the interpreter's
-        # recursion limit
+    def test_constraint_with_1200_atoms_is_evaluated(self, capsys, tmp_path):
+        # the body matcher walks the atoms without recursion, so a body far
+        # longer than the interpreter's recursion limit still matches
         deep = tmp_path / "deep.cdl"
         atoms = ", ".join(f"S(X{i})" for i in range(1, 1201))
         deep.write_text(f"S(1; a).\n:- {atoms}.\n")
         code, out, err = run(capsys, "repairs", deep)
+        assert code == 0
+        assert out == "repair 1: removed {1}\n  {}\n"
+        assert err == ""
+
+    @pytest.mark.parametrize("error", [RecursionError, MemoryError])
+    def test_input_too_large_exits_one_without_traceback(
+        self, capsys, monkeypatch, error
+    ):
+        def boom(*args, **kwargs):
+            raise error("too big")
+
+        monkeypatch.setattr("repcause.cli.s_repairs", boom)
+        code, out, err = run(capsys, "repairs", fixture_path("example1.cdl"))
         assert code == 1
         assert out == ""
-        assert err.startswith("repcause: ") and err.count("\n") == 1
-        assert "Traceback" not in err
+        assert err == f"repcause: input too large: {error.__name__}\n"
+
+    def test_runs_as_python_module(self, capsys):
+        # `python -m repcause` is the CLI, byte for byte
+        src = str(Path(repcause.__file__).parent.parent)
+        env = dict(os.environ, PYTHONPATH=src)
+        result = subprocess.run(
+            [sys.executable, "-m", "repcause", "causes", str(fixture_path("example1.cdl"))],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        code, out, _ = run(capsys, "causes", fixture_path("example1.cdl"))
+        assert (result.returncode, result.stdout) == (code, out)
 
     def test_missing_file_exits_one(self, capsys):
         code, _, _ = run(capsys, "eval", "no-such-file.cdl")

@@ -96,7 +96,7 @@ class TestParsing:
         ],
     )
     def test_rejects_malformed_input(self, text):
-        with pytest.raises((ParseError, LangError, Exception)):
+        with pytest.raises(ParseError):
             parse_problem(text)
 
     def test_render_round_trips(self):

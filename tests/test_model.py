@@ -51,6 +51,13 @@ class TestInstance:
         inst = small_instance()
         assert inst.add_fact("S", [sym("b")]) == 2
 
+    def test_auto_tid_skips_a_tid_given_earlier(self):
+        # R(2; a). R(b). R(c).
+        inst = Instance()
+        inst.add_fact("R", [sym("a")], tid=2)
+        assert inst.add_fact("R", [sym("b")]) == 1
+        assert inst.add_fact("R", [sym("c")]) == 3
+
     def test_arity_conflict_rejected(self):
         inst = small_instance()
         with pytest.raises(ModelError):
@@ -66,6 +73,17 @@ class TestInstance:
         inst.add_fact("R", [sym("a"), sym("b")], tid=2)
         inst.add_fact("R", [sym("c"), sym("d")], tid=1)
         assert [t.tid for t in inst.tuples()] == [1, 2, 9]
+
+    def test_tuples_of_is_in_tid_order_and_sees_later_facts(self):
+        inst = Instance()
+        inst.add_fact("R", [sym("a")], tid=5)
+        inst.add_fact("S", [sym("b")], tid=1)
+        inst.add_fact("R", [sym("c")], tid=3)
+        assert [t.tid for t in inst.tuples_of("R")] == [3, 5]
+        inst.add_fact("R", [sym("d")], tid=4)
+        assert [t.tid for t in inst.tuples_of("R")] == [3, 4, 5]
+        assert [t.tid for t in inst.delete_tuples({4}).tuples_of("R")] == [3, 5]
+        assert inst.tuples_of("T") == ()
 
     def test_delete_is_persistent(self):
         inst = small_instance()

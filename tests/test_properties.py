@@ -3,7 +3,10 @@
 The pruned, repair-based routes must agree exactly with the brute-force
 definitions on a large corpus of small random instances.
 """
+import itertools
 import random
+
+import pytest
 
 from repcause import (
     actual_causes,
@@ -14,7 +17,9 @@ from repcause import (
     null_repairs_oracle,
     parse_problem,
     s_repairs,
+    violations,
 )
+from repcause.lang import CrossTypeComparisonError, Var, _match_body, eval_builtin
 
 SEED = 20260823
 RELATIONS = [("S", 1), ("R", 2), ("T", 3)]
@@ -112,3 +117,107 @@ def test_tuple_repairs_are_consistent_and_incomparable():
         for a in removed:
             for b in removed:
                 assert a == b or not a <= b
+
+
+# column types of the matcher corpus: X, Y and Z only ever sit in integer
+# columns and A and B in symbol ones, and order comparisons read only X, Y,
+# Z and integers, so the brute-force reference never raises
+TYPED_RELATIONS = [("S", ("int",)), ("R", ("sym", "int")), ("T", ("int", "int", "int"))]
+TYPED_VALUES = {"int": ["1", "2", "3"], "sym": ["a", "b"]}
+
+
+def brute_force_matches(instance, body):
+    """Every combination of one tuple per atom, in tid order, on which each
+    repeated variable, each constant and each built-in holds under null
+    semantics, with its slot binding as `_match_body` names it."""
+    per_atom = [[t for t in instance.tuples() if t.relation == a.relation] for a in body.atoms]
+    out = []
+    for combo in itertools.product(*per_atom):
+        first = {}
+        holds = True
+        for atom, tup in zip(body.atoms, combo):
+            for term, value in zip(atom.terms, tup.values):
+                if not isinstance(term, Var):
+                    holds = holds and eval_builtin("=", value, term)
+                elif term.name in first:
+                    holds = holds and eval_builtin("=", first[term.name], value)
+                else:
+                    first[term.name] = value
+
+        def operand(t):
+            return first[t.name] if isinstance(t, Var) else t
+
+        if holds and all(
+            eval_builtin(b.op, operand(b.left), operand(b.right)) for b in body.builtins
+        ):
+            values = [v for tup in combo for v in tup.values]
+            binding = {f"_v{k}": v for k, v in enumerate(values, start=1)}
+            out.append((tuple(t.tid for t in combo), list(binding.items())))
+    return out
+
+
+def random_typed_problem(rng):
+    lines = []
+    for tid in range(1, rng.randint(1, 12) + 1):
+        relation, types = rng.choice(TYPED_RELATIONS)
+        values = [
+            "null" if rng.random() < 0.1 else rng.choice(TYPED_VALUES[t]) for t in types
+        ]
+        lines.append(f"{relation}({tid}; {', '.join(values)}).")
+    parts = []
+    seen_vars = set()
+    for _ in range(rng.choice([1, 2, 2, 3])):
+        relation, types = rng.choice(TYPED_RELATIONS)
+        args = []
+        for t in types:
+            if rng.random() < 0.75:
+                var = rng.choice("XYZ" if t == "int" else "AB")
+                seen_vars.add(var)
+                args.append(var)
+            else:
+                args.append("null" if rng.random() < 0.1 else rng.choice(TYPED_VALUES[t]))
+        parts.append(f"{relation}({', '.join(args)})")
+    for _ in range(rng.choice([0, 1, 1, 2])):
+        op = rng.choice(["=", "!=", "<", "<=", ">", ">="])
+        pool = sorted(v for v in seen_vars if op in ("=", "!=") or v in "XYZ")
+        constants = ["1", "3"] + (["a", "null"] if op in ("=", "!=") else [])
+        if pool:
+            right = rng.choice(pool) if rng.random() < 0.6 else rng.choice(constants)
+            parts.append(f"{rng.choice(pool)} {op} {right}")
+    lines.append(f":- {', '.join(parts)}.")
+    return "\n".join(lines)
+
+
+def test_indexed_matcher_matches_nested_loop_reference():
+    rng = random.Random(SEED + 3)
+    nontrivial = 0
+    for _ in range(2000):
+        text = random_typed_problem(rng)
+        problem = parse_problem(text)
+        body = problem.dcs[0].body
+        fast = [
+            (tids, list(binding.items()))
+            for tids, binding in _match_body(problem.instance, body._plan)
+        ]
+        assert fast == brute_force_matches(problem.instance, body), text
+        # a match through a hash-index probe
+        nontrivial += bool(fast) and any(s.key_positions for s in body._plan.steps[1:])
+    assert nontrivial >= 120
+
+
+@pytest.mark.parametrize(
+    "s_fact, order_check, raises",
+    [
+        ("S(2; 1, 5).", "X < Z", True),  # the join holds, so a < 5 is compared
+        ("S(2; 2, 5).", "X < Z", False),  # the join fails first: nothing compared
+        ("S(2; 2, 5).", "X < 3", True),  # a < 3 is compared before the join
+    ],
+)
+def test_order_comparison_raises_only_once_its_operands_match(s_fact, order_check, raises):
+    text = f"R(1; a, 1). {s_fact}\n:- R(X, Y), S(Y, Z), {order_check}.\n"
+    problem = parse_problem(text)
+    if raises:
+        with pytest.raises(CrossTypeComparisonError):
+            violations(problem.instance, problem.dcs)
+    else:
+        assert violations(problem.instance, problem.dcs) == []
