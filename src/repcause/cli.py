@@ -3,8 +3,10 @@
 Commands: repairs, causes, responsibility, emit-asp, check, eval. Input
 files hold facts, denial constraints, queries and inclusion dependencies in
 the textual format of the parser; results are printed as deterministic text
-or JSON. Every flag can also be set through an environment variable named
-REPCAUSE_<FLAG>; explicit flags win.
+or JSON. The flags --format, --query, --answer, --semantics, --minimality,
+--ics, --flavor, --include and --maxint can also be set through an
+environment variable named REPCAUSE_<FLAG>; explicit flags win. An invalid
+value is a usage error, like the same value given as a flag.
 
 Exit codes: 0 success, 1 usage error (including a failed model check) or
 an input too large for the engine, 2 parse error.
@@ -40,8 +42,18 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _env(name: str, default: Optional[str] = None) -> Optional[str]:
-    return os.environ.get(f"REPCAUSE_{name}", default)
+def _env(name: str, default=None, choices=None, type=str):
+    """REPCAUSE_<name>, checked like the flag it sets, or `default`."""
+    text = os.environ.get(f"REPCAUSE_{name}")
+    if text is None:
+        return default
+    try:
+        value = type(text)
+        if choices is None or value in choices:
+            return value
+    except ValueError:
+        pass
+    raise UsageError(f"invalid value for REPCAUSE_{name}: {text!r}")
 
 
 def _non_negative_int(text: str) -> int:
@@ -57,60 +69,50 @@ def _non_negative_int(text: str) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="repcause", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    ics = _env("ICS", "0", ("0", "1")) == "1"
+
+    def choice(p: argparse.ArgumentParser, name: str, choices, default: str) -> None:
+        p.add_argument(
+            f"--{name}", choices=choices, default=_env(name.upper(), default, choices)
+        )
 
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("input", help="problem file")
-        p.add_argument(
-            "--format",
-            choices=["text", "json"],
-            default=_env("FORMAT", "text"),
-        )
+        choice(p, "format", ["text", "json"], "text")
         p.add_argument("--query", default=_env("QUERY"))
         p.add_argument(
             "--answer",
             default=_env("ANSWER"),
             help="comma-separated constants grounding an open query's head",
         )
-        p.add_argument(
-            "--semantics",
-            choices=["tuple", "null"],
-            default=_env("SEMANTICS", "tuple"),
-        )
+        choice(p, "semantics", ["tuple", "null"], "tuple")
 
     p = sub.add_parser("repairs", help="enumerate repairs")
     common(p)
-    p.add_argument(
-        "--minimality",
-        choices=["subset", "cardinality"],
-        default=_env("MINIMALITY", "subset"),
-    )
-    p.add_argument("--ics", action="store_true", default=_env("ICS") == "1")
+    choice(p, "minimality", ["subset", "cardinality"], "subset")
+    p.add_argument("--ics", action="store_true", default=ics)
 
     p = sub.add_parser("causes", help="causes with contingency sets")
     common(p)
-    p.add_argument("--ics", action="store_true", default=_env("ICS") == "1")
+    p.add_argument("--ics", action="store_true", default=ics)
     p.add_argument("--level", choices=["attribute", "tuple"], default="attribute")
     p.add_argument("--max-contingency-count", type=_non_negative_int, default=None)
     p.add_argument("--max-contingency-size", type=_non_negative_int, default=None)
 
     p = sub.add_parser("responsibility", help="responsibilities only")
     common(p)
-    p.add_argument("--ics", action="store_true", default=_env("ICS") == "1")
+    p.add_argument("--ics", action="store_true", default=ics)
     p.add_argument("--level", choices=["attribute", "tuple"], default="attribute")
 
     p = sub.add_parser("emit-asp", help="print a repair program")
     common(p)
-    p.add_argument(
-        "--flavor",
-        choices=["disjunctive", "non-disjunctive"],
-        default=_env("FLAVOR", "non-disjunctive"),
-    )
+    choice(p, "flavor", ["disjunctive", "non-disjunctive"], "non-disjunctive")
     p.add_argument(
         "--include",
         default=_env("INCLUDE", ""),
         help="comma list of causes,cau_cont,contingency_sets,pre_rho,weak_constraints",
     )
-    p.add_argument("--maxint", type=int, default=int(_env("MAXINT", "100")))
+    p.add_argument("--maxint", type=int, default=_env("MAXINT", 100, type=int))
 
     p = sub.add_parser("check", help="verify solver models against the engine")
     common(p)
@@ -161,12 +163,8 @@ def _frac(f: Fraction) -> dict:
     return {"num": f.numerator, "den": f.denominator}
 
 
-def _emit(payload: dict, text_lines: List[str], fmt: str) -> None:
-    if fmt == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        for line in text_lines:
-            print(line)
+def _print_json(payload: dict) -> None:
+    print(json.dumps(payload, indent=2, sort_keys=True))
 
 
 def _cmd_repairs(problem: Problem, args: argparse.Namespace) -> int:
@@ -183,61 +181,41 @@ def _cmd_repairs(problem: Problem, args: argparse.Namespace) -> int:
             records = c_repairs(problem.instance, dcs)
         else:
             records = s_repairs(problem.instance, dcs)
-        payload = {
-            "repairs": [
-                {
-                    "removed": sorted(r.removed),
-                    "tuples": [t.render() for t in r.repair.tuples()],
-                }
-                for r in records
-            ]
-        }
-        lines = []
-        for i, r in enumerate(records, start=1):
-            removed = ", ".join(str(t) for t in sorted(r.removed))
-            lines.append(f"repair {i}: removed {{{removed}}}")
-            lines.append("  " + r.repair.render())
+        # a repair keeps the source tuples it does not remove, in the same
+        # canonical order, so each tuple is rendered once
+        source = [(t.tid, t.render()) for t in problem.instance.tuples()]
+        key = "removed"
+        entries = [
+            (sorted(r.removed), [text for tid, text in source if tid not in r.removed])
+            for r in records
+        ]
     else:
         if args.ics:
             raise UsageError("--ics applies to tuple semantics only")
         fn = cardinality_null_repairs if args.minimality == "cardinality" else null_repairs
-        records = fn(problem.instance, dcs)
-        payload = {
-            "repairs": [
-                {
-                    "delta": [p.render() for p in sorted(r.delta, key=lambda p: p.sort_key())],
-                    "tuples": [t.render() for t in r.repair.tuples()],
-                }
-                for r in records
-            ]
-        }
-        lines = []
-        for i, r in enumerate(records, start=1):
-            delta = ", ".join(
-                p.render() for p in sorted(r.delta, key=lambda p: p.sort_key())
+        key = "delta"
+        entries = [
+            (
+                [p.render() for p in sorted(r.delta, key=lambda p: p.sort_key())],
+                [t.render() for t in r.repair.tuples()],
             )
-            lines.append(f"repair {i}: delta {{{delta}}}")
-            lines.append("  " + r.repair.render())
-    _emit(payload, lines, args.format)
+            for r in fn(problem.instance, dcs)
+        ]
+    if args.format == "json":
+        _print_json(
+            {"repairs": [{key: diff, "tuples": tuples} for diff, tuples in entries]}
+        )
+        return 0
+    for i, (diff, tuples) in enumerate(entries, start=1):
+        print(f"repair {i}: {key} {{{', '.join(str(d) for d in diff)}}}")
+        print("  {" + ", ".join(tuples) + "}")
     return 0
-
-
-def _tuple_cause_payload(reports, with_contingencies: bool):
-    causes = []
-    for r in reports:
-        entry = {
-            "id": r.tid,
-            "responsibility": _frac(r.responsibility),
-            "counterfactual": r.counterfactual,
-        }
-        if with_contingencies:
-            entry["contingency_sets"] = [sorted(g) for g in r.contingency_sets]
-        causes.append(entry)
-    return {"causes": causes}
 
 
 def _cmd_causes(problem: Problem, args: argparse.Namespace, with_sets: bool) -> int:
     query = _select_query(problem, args)
+    as_json = args.format == "json"
+    causes = []
     if args.semantics == "tuple":
         if args.ics:
             reports = actual_causes_under_ics(problem.instance, query, problem.ids)
@@ -249,62 +227,56 @@ def _cmd_causes(problem: Problem, args: argparse.Namespace, with_sets: bool) -> 
                     "max_contingency_size": getattr(args, "max_contingency_size", None),
                 }
             reports = actual_causes(problem.instance, query, **caps)
-        payload = _tuple_cause_payload(reports, with_sets)
-        lines = []
         for r in reports:
-            line = f"tid {r.tid}: responsibility {r.responsibility}"
-            if r.counterfactual:
-                line += " (counterfactual)"
-            lines.append(line)
-            if with_sets:
-                for g in r.contingency_sets:
+            if as_json:
+                entry = {
+                    "id": r.tid,
+                    "responsibility": _frac(r.responsibility),
+                    "counterfactual": r.counterfactual,
+                }
+                if with_sets:
+                    entry["contingency_sets"] = [sorted(g) for g in r.contingency_sets]
+                causes.append(entry)
+            else:
+                line = f"tid {r.tid}: responsibility {r.responsibility}"
+                print(line + " (counterfactual)" if r.counterfactual else line)
+                for g in r.contingency_sets if with_sets else ():
                     inner = ", ".join(str(t) for t in sorted(g))
-                    lines.append(f"  contingency {{{inner}}}")
+                    print(f"  contingency {{{inner}}}")
     else:
         if args.ics:
             raise UsageError("--ics applies to tuple semantics only")
         if args.level == "tuple":
-            reports = tuple_null_causes(problem.instance, query)
-            payload = {
-                "causes": [
-                    {
-                        "id": r.tid,
-                        "responsibility": _frac(r.responsibility),
-                        "positions": [
-                            p.render()
-                            for p in sorted(
-                                r.witness_positions, key=lambda p: p.sort_key()
-                            )
-                        ],
-                    }
-                    for r in reports
-                ]
-            }
-            lines = [
-                f"tid {r.tid}: responsibility {r.responsibility}" for r in reports
-            ]
+            for r in tuple_null_causes(problem.instance, query):
+                if as_json:
+                    positions = sorted(r.witness_positions, key=lambda p: p.sort_key())
+                    causes.append(
+                        {
+                            "id": r.tid,
+                            "responsibility": _frac(r.responsibility),
+                            "positions": [p.render() for p in positions],
+                        }
+                    )
+                else:
+                    print(f"tid {r.tid}: responsibility {r.responsibility}")
         else:
-            reports = attr_causes(problem.instance, query)
-            payload = {
-                "causes": [
-                    {
-                        "position": r.position.render(),
-                        "responsibility": _frac(r.responsibility),
-                        "counterfactual": r.counterfactual,
-                    }
-                    for r in reports
-                ]
-            }
-            lines = []
-            for r in reports:
-                line = (
-                    f"{r.position.render()} = {r.original_value.render()}: "
-                    f"responsibility {r.responsibility}"
-                )
-                if r.counterfactual:
-                    line += " (counterfactual)"
-                lines.append(line)
-    _emit(payload, lines, args.format)
+            for r in attr_causes(problem.instance, query):
+                if as_json:
+                    causes.append(
+                        {
+                            "position": r.position.render(),
+                            "responsibility": _frac(r.responsibility),
+                            "counterfactual": r.counterfactual,
+                        }
+                    )
+                else:
+                    line = (
+                        f"{r.position.render()} = {r.original_value.render()}: "
+                        f"responsibility {r.responsibility}"
+                    )
+                    print(line + " (counterfactual)" if r.counterfactual else line)
+    if as_json:
+        _print_json({"causes": causes})
     return 0
 
 
@@ -328,17 +300,13 @@ def _cmd_check(problem: Problem, args: argparse.Namespace) -> int:
         problem.instance, dcs, models_text, semantics=args.semantics
     )
     if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "matches": report.matches,
-                    "unmatched_models": report.unmatched_models,
-                    "unmatched_repairs": report.unmatched_repairs,
-                    "ok": report.ok,
-                },
-                indent=2,
-                sort_keys=True,
-            )
+        _print_json(
+            {
+                "matches": report.matches,
+                "unmatched_models": report.unmatched_models,
+                "unmatched_repairs": report.unmatched_repairs,
+                "ok": report.ok,
+            }
         )
     else:
         print(report.render())
@@ -352,26 +320,29 @@ def _cmd_eval(problem: Problem, args: argparse.Namespace) -> int:
             eval_open(problem.instance, query),
             key=lambda row: [c.sort_key() for c in row],
         )
-        payload = {
-            "query": query.name,
-            "answers": [[c.render() for c in row] for row in answers],
-        }
-        lines = [", ".join(c.render() for c in row) for row in answers]
+        rows = [[c.render() for c in row] for row in answers]
+        if args.format == "json":
+            _print_json({"query": query.name, "answers": rows})
+        else:
+            for row in rows:
+                print(", ".join(row))
     else:
-        bcq = _select_query(problem, args)
-        value = eval_bcq(problem.instance, bcq)
-        payload = {"query": query.name, "value": value}
-        lines = ["true" if value else "false"]
-    _emit(payload, lines, args.format)
+        value = eval_bcq(problem.instance, _select_query(problem, args))
+        if args.format == "json":
+            _print_json({"query": query.name, "value": value})
+        else:
+            print("true" if value else "false")
     return 0
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    except UsageError as exc:
+        print(f"repcause: {exc}", file=sys.stderr)
+        return 1
     try:
         with open(args.input, "r", encoding="utf-8") as fh:
             text = fh.read()

@@ -156,7 +156,6 @@ class InclusionDependency:
 class ViolationWitness:
     """One satisfying assignment of a DC body over an instance."""
 
-    dc_index: int
     tids: FrozenSet[int]
     # positions whose nulling falsifies this assignment: the
     # `candidate_slots` of the constraint body, read through its tuples
@@ -200,44 +199,39 @@ _TOKEN_RE = re.compile(
     | (?P<int>-?\d+)
     | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
     | (?P<punct>[();,.?])
+    | (?P<bad>.)
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.DOTALL,
 )
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str
     text: str
-    line: int
-    column: int
+    offset: int  # into the parsed text
+
+
+def _parse_error(text: str, message: str, offset: int) -> ParseError:
+    """A `ParseError` at `offset`, with its 1-based line and column."""
+    line = text.count("\n", 0, offset) + 1
+    return ParseError(message, line, offset - text.rfind("\n", 0, offset))
 
 
 def _tokenize(text: str) -> List[_Token]:
     tokens = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
-        kind = m.lastgroup or ""
-        chunk = m.group()
-        if kind not in ("ws", "comment"):
-            tokens.append(_Token(kind, chunk, line, col))
-        newlines = chunk.count("\n")
-        if newlines:
-            line += newlines
-            col = len(chunk) - chunk.rfind("\n")
-        else:
-            col += len(chunk)
-        pos = m.end()
-    tokens.append(_Token("eof", "", line, col))
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "bad":
+            raise _parse_error(text, f"unexpected character {m.group()!r}", m.start())
+        if kind != "ws" and kind != "comment":
+            tokens.append(_Token(kind, m.group(), m.start()))
+    tokens.append(_Token("eof", "", len(text)))
     return tokens
 
 
 class _Parser:
     def __init__(self, text: str) -> None:
+        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
 
@@ -250,15 +244,17 @@ class _Parser:
             self.pos += 1
         return tok
 
+    def error(self, message: str, tok: _Token) -> ParseError:
+        return _parse_error(self.text, message, tok.offset)
+
     def expect(self, text: str) -> _Token:
         tok = self.next()
         if tok.text != text:
-            raise ParseError(f"expected {text!r}, found {tok.text!r}", tok.line, tok.column)
+            raise self.error(f"expected {text!r}, found {tok.text!r}", tok)
         return tok
 
     def fail(self, message: str) -> None:
-        tok = self.peek()
-        raise ParseError(message, tok.line, tok.column)
+        raise self.error(message, self.peek())
 
     # -- statements --------------------------------------------------------
 
@@ -323,14 +319,12 @@ class _Parser:
         if closer.text == ".":
             values = [t for t in terms if isinstance(t, Constant)]
             if len(values) != len(terms):
-                raise ParseError("facts must be ground", closer.line, closer.column)
+                raise self.error("facts must be ground", closer)
             self._add_fact(instance, name, values, None)
         elif closer.text == ":-":
             head_vars = tuple(t for t in terms if isinstance(t, Var))
             if len(head_vars) != len(terms):
-                raise ParseError(
-                    "query head must hold variables only", closer.line, closer.column
-                )
+                raise self.error("query head must hold variables only", closer)
             body = self._parse_body()
             self.expect("?")
             self._record_query(name, head_vars, body, query_parts, query_order)
@@ -339,20 +333,15 @@ class _Parser:
             self.expect(".")
             ids.append(InclusionDependency(BodyAtom(name, tuple(terms)), conclusion))
         else:
-            raise ParseError(
-                f"expected '.', ':-' or '->', found {closer.text!r}",
-                closer.line,
-                closer.column,
+            raise self.error(
+                f"expected '.', ':-' or '->', found {closer.text!r}", closer
             )
 
     def _record_query(self, name, head_vars, body, query_parts, query_order) -> None:
         if name in query_parts:
             known_head, bodies = query_parts[name]
             if known_head != tuple(head_vars):
-                tok = self.peek()
-                raise ParseError(
-                    f"query {name} redeclared with different head", tok.line, tok.column
-                )
+                self.fail(f"query {name} redeclared with different head")
             bodies.append(body)
         else:
             query_parts[name] = (tuple(head_vars), [body])
@@ -362,8 +351,7 @@ class _Parser:
         try:
             instance.add_fact(name, values, tid=tid)
         except ModelError as exc:
-            tok = self.peek()
-            raise ParseError(str(exc), tok.line, tok.column) from exc
+            self.fail(str(exc))
 
     # -- pieces ------------------------------------------------------------
 
@@ -381,9 +369,7 @@ class _Parser:
                 left = self._parse_term()
                 op_tok = self.next()
                 if op_tok.text not in BUILTIN_OPS:
-                    raise ParseError(
-                        f"unknown builtin {op_tok.text!r}", op_tok.line, op_tok.column
-                    )
+                    raise self.error(f"unknown builtin {op_tok.text!r}", op_tok)
                 right = self._parse_term()
                 builtins.append(BuiltinAtom(op_tok.text, left, right))
             if self.peek().text == ",":
@@ -397,7 +383,7 @@ class _Parser:
     def _parse_atom(self) -> BodyAtom:
         name_tok = self.next()
         if name_tok.kind != "name":
-            raise ParseError("expected relation name", name_tok.line, name_tok.column)
+            raise self.error("expected relation name", name_tok)
         self.expect("(")
         terms = self._parse_term_list()
         self.expect(")")
@@ -428,7 +414,7 @@ class _Parser:
             if tok.text[0].isupper():
                 return Var(tok.text)
             return sym(tok.text)
-        raise ParseError(f"expected a term, found {tok.text!r}", tok.line, tok.column)
+        raise self.error(f"expected a term, found {tok.text!r}", tok)
 
 
 def _check_body(body: ConjunctiveBody, instance: Instance) -> None:
@@ -770,12 +756,11 @@ def violations(
     """All satisfying assignments of each DC body, with their tid hyperedges
     and nullable candidate positions."""
     out: List[ViolationWitness] = []
-    for index, dc in enumerate(dcs):
+    for dc in dcs:
         slots = [(dc.body.atoms[i].relation, i, j) for i, j in candidate_slots(dc.body)]
         for tids, _ in _match_body(instance, dc.body._plan):
             out.append(
                 ViolationWitness(
-                    dc_index=index,
                     tids=frozenset(tids),
                     candidate_positions=frozenset(
                         PositionRef(rel, tids[i], j) for rel, i, j in slots

@@ -47,8 +47,7 @@ def diff_null(
 ) -> List[FrozenSet[PositionRef]]:
     """Change sets of the minimal null-repairs (of the negated query) that
     null the given position."""
-    deltas = [d for d in _repair_deltas(instance, query) if position in d]
-    return sorted(deltas, key=lambda d: (len(d), sorted(r.sort_key() for r in d)))
+    return [d for d in _repair_deltas(instance, query) if position in d]
 
 
 def attr_causes(instance: Instance, query: QuerySpec) -> List[AttrCauseReport]:

@@ -10,8 +10,8 @@ all subsets of non-null positions validates the reduction.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Sequence
+from dataclasses import dataclass, field
+from typing import FrozenSet, List, Sequence
 
 from .lang import DenialConstraint, is_consistent, violations
 from .model import Instance, PositionRef
@@ -20,9 +20,16 @@ from .tuple_repairs import minimal_hitting_sets, minimal_subsets
 
 @dataclass(frozen=True)
 class NullRepairRecord:
-    repair: Instance
+    """A null repair, held as the set of positions it nulls in `source`."""
+
+    source: Instance = field(compare=False, repr=False)
     delta: FrozenSet[PositionRef]
-    kind: str  # "subset-minimal" | "cardinality-minimal"
+
+    @property
+    def repair(self) -> Instance:
+        """The updated instance with every position of `delta` nulled, built
+        on each read."""
+        return self.source.apply_update(self.delta)
 
 
 def _candidate_edges(
@@ -34,61 +41,43 @@ def _candidate_edges(
     return [w.candidate_positions for w in violations(instance, dcs)]
 
 
-def _records_from_deltas(
-    instance: Instance, deltas: Sequence[FrozenSet[PositionRef]], kind: str
-) -> List[NullRepairRecord]:
-    ordered = sorted(
-        deltas, key=lambda d: (len(d), sorted(r.sort_key() for r in d))
-    )
-    return [NullRepairRecord(instance.apply_update(d), d, kind) for d in ordered]
-
-
 def null_repairs(
     instance: Instance, dcs: Sequence[DenialConstraint]
 ) -> List[NullRepairRecord]:
     """All consistent instances reachable by a ⊆-minimal set of
-    value-to-null changes, with their change sets."""
-    edges = _candidate_edges(instance, dcs)
-    if not edges:
-        return [NullRepairRecord(instance, frozenset(), "subset-minimal")]
-    # an edge with no candidate position would be an unrepairable violation;
-    # impossible, since a violating assignment always reads a join variable,
-    # a builtin variable or a constant somewhere — but guard anyway
-    if any(not e for e in edges):
-        return []
+    value-to-null changes, by (size, sorted positions) of their change sets.
 
-    index: Dict[PositionRef, int] = {}
-    for e in edges:
-        for ref in e:
-            index.setdefault(ref, len(index))
-    back = {i: ref for ref, i in index.items()}
-    int_edges = [frozenset(index[r] for r in e) for e in edges]
-    hits = minimal_hitting_sets(int_edges)
-    deltas = [frozenset(back[i] for i in h) for h in hits]
-    return _records_from_deltas(instance, deltas, "subset-minimal")
+    A violation with no candidate position cannot be repaired, and then
+    there is no repair at all.
+    """
+    edges = _candidate_edges(instance, dcs)
+    # number the positions in sort-key order, so that the hitting sets'
+    # (size, sorted members) order is also the order of their change sets
+    refs = sorted({ref for e in edges for ref in e}, key=PositionRef.sort_key)
+    index = {ref: i for i, ref in enumerate(refs)}
+    hits = minimal_hitting_sets([frozenset(index[r] for r in e) for e in edges])
+    return [
+        NullRepairRecord(instance, frozenset(refs[i] for i in h)) for h in hits
+    ]
 
 
 def cardinality_null_repairs(
     instance: Instance, dcs: Sequence[DenialConstraint]
 ) -> List[NullRepairRecord]:
+    """The null repairs of minimum size; `null_repairs` lists the smallest
+    first."""
     subs = null_repairs(instance, dcs)
-    if not subs:
-        return []
-    best = min(len(r.delta) for r in subs)
-    return [
-        NullRepairRecord(r.repair, r.delta, "cardinality-minimal")
-        for r in subs
-        if len(r.delta) == best
-    ]
+    return [r for r in subs if len(r.delta) == len(subs[0].delta)]
 
 
 def null_repairs_oracle(
     instance: Instance, dcs: Sequence[DenialConstraint]
 ) -> List[NullRepairRecord]:
     """Exhaustive check of every subset of non-null positions; exponential,
-    for validation only."""
+    for validation only. The positions come in sort-key order, so the search
+    yields the change sets in the order `null_repairs` gives them."""
     deltas = minimal_subsets(
         instance.non_null_positions(),
         lambda delta: is_consistent(instance.apply_update(delta), dcs),
     )
-    return _records_from_deltas(instance, list(deltas), "subset-minimal")
+    return [NullRepairRecord(instance, d) for d in deltas]

@@ -10,7 +10,7 @@ unwitnessed premise tuples.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 from typing import (
     Callable,
@@ -65,9 +65,10 @@ def minimal_hitting_sets(
     one check suffices: two extended sets are never comparable, since that
     needs the vertex added to one to lie in the other, which misses the
     edge; and an extended set is never inside a kept set, since two minimal
-    sets of the previous round are never comparable. With `allowed` given,
-    only those vertices may be picked; an edge with no allowed vertex makes
-    the result empty.
+    sets of the previous round are never comparable. With no edges the
+    result is the empty set alone; an empty edge makes it empty. With
+    `allowed` given, only those vertices may be picked, so an edge with no
+    allowed vertex makes the result empty too.
     """
     edge_list = sorted(set(edges), key=lambda e: (len(e), sorted(e)))
     if allowed is not None:
@@ -106,18 +107,15 @@ def minimal_subsets(
 
 @dataclass(frozen=True)
 class RepairRecord:
-    repair: Instance
+    """A subset repair, held as the set of tids it deletes from `source`."""
+
+    source: Instance = field(compare=False, repr=False)
     removed: FrozenSet[int]
-    kind: str  # "subset-minimal" | "cardinality-minimal"
 
-
-def _records(
-    instance: Instance, hitting_sets: Sequence[FrozenSet[int]], kind: str
-) -> List[RepairRecord]:
-    return [
-        RepairRecord(instance.delete_tuples(h), h, kind)
-        for h in sorted(hitting_sets, key=lambda h: (len(h), sorted(h)))
-    ]
+    @property
+    def repair(self) -> Instance:
+        """The repaired instance D ∖ removed, built on each read."""
+        return self.source.delete_tuples(self.removed)
 
 
 def s_repairs(
@@ -125,17 +123,18 @@ def s_repairs(
     dcs: Sequence[DenialConstraint],
     endogenous_only: bool = False,
 ) -> List[RepairRecord]:
-    """All subset-maximal consistent subinstances, as (repair, removed) pairs.
+    """All subset-maximal consistent subinstances, by (size, sorted members)
+    of their removed sets.
 
     With `endogenous_only`, removed-sets avoid exogenous tuples; a violation
     made entirely of exogenous tuples then admits no repair.
     """
     graph = conflict_hypergraph(instance, dcs)
     allowed = set(instance.endogenous_tids()) if endogenous_only else None
-    hits = minimal_hitting_sets(graph.edges, allowed=allowed)
-    if not graph.edges:
-        hits = [frozenset()]
-    return _records(instance, hits, "subset-minimal")
+    return [
+        RepairRecord(instance, h)
+        for h in minimal_hitting_sets(graph.edges, allowed=allowed)
+    ]
 
 
 def c_repairs(
@@ -143,15 +142,9 @@ def c_repairs(
     dcs: Sequence[DenialConstraint],
     endogenous_only: bool = False,
 ) -> List[RepairRecord]:
+    """The S-repairs of minimum size; `s_repairs` lists the smallest first."""
     subs = s_repairs(instance, dcs, endogenous_only=endogenous_only)
-    if not subs:
-        return []
-    best = min(len(r.removed) for r in subs)
-    return [
-        RepairRecord(r.repair, r.removed, "cardinality-minimal")
-        for r in subs
-        if len(r.removed) == best
-    ]
+    return [r for r in subs if len(r.removed) == len(subs[0].removed)]
 
 
 def diff_sets(
@@ -205,5 +198,6 @@ def s_repairs_under_hard_ics(
     removed_sets = [
         r for r in candidates if not any(other < r for other in candidates)
     ]
-    return _records(instance, removed_sets, "subset-minimal")
+    removed_sets.sort(key=lambda r: (len(r), sorted(r)))
+    return [RepairRecord(instance, r) for r in removed_sets]
 

@@ -385,6 +385,43 @@ class TestEnvironmentDefaults:
             json.loads(out)
 
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("FORMAT", "JSON"),  # checked against the flag's choices
+            ("SEMANTICS", "tupel"),
+            ("MINIMALITY", "card"),
+            ("FLAVOR", "disjunct"),
+            ("MAXINT", "abc"),  # checked by the flag's type
+            ("ICS", "true"),  # 1 or 0
+        ],
+    )
+    def test_bad_env_value_is_a_usage_error(self, capsys, monkeypatch, name, value):
+        monkeypatch.setenv(f"REPCAUSE_{name}", value)
+        code, out, err = run(capsys, "repairs", fixture_path("example1.cdl"))
+        assert (code, out) == (1, "")
+        assert err == f"repcause: invalid value for REPCAUSE_{name}: {value!r}\n"
+
+    @pytest.mark.parametrize("value, removed", [("1", "{1, 4, 8}"), ("0", "{4, 8}")])
+    def test_env_sets_ics(self, capsys, monkeypatch, value, removed):
+        monkeypatch.setenv("REPCAUSE_ICS", value)
+        code, out, _ = run(
+            capsys, "repairs", fixture_path("example_registrar.cdl"),
+            "--query", "Q2", "--answer", "john",
+        )
+        assert code == 0
+        assert out.startswith(f"repair 1: removed {removed}\n")
+
+    def test_env_sets_maxint(self, capsys, monkeypatch):
+        monkeypatch.setenv("REPCAUSE_MAXINT", "7")
+        code, out, _ = run(
+            capsys, "emit-asp", fixture_path("example1.cdl"),
+            "--include", "causes,cau_cont,pre_rho",
+        )
+        assert code == 0
+        assert "#maxint = 7." in out.splitlines()
+
+
 class TestDeterminism:
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_consecutive_runs_are_byte_identical(self, capsys, fmt):

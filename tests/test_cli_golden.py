@@ -1,0 +1,51 @@
+"""Exact stdout of the result-printing commands on the fixtures.
+
+Each case's expected output is a file under `fixtures/cli/`, compared byte
+for byte, so a reordered, missing or mis-rendered line fails here even where
+the substring checks of `test_cli.py` would pass.
+"""
+import pytest
+
+from repcause.cli import main
+
+from conftest import fixture_path
+
+REGISTRAR_Q2_JOHN = ("example_registrar.cdl", "--query", "Q2", "--answer", "john")
+
+CASES = {
+    "repairs_tuple": ("repairs", "example1.cdl"),
+    "repairs_tuple_disjunctive": ("repairs", "example2.cdl"),
+    "repairs_tuple_cardinality": ("repairs", "example5.cdl", "--minimality", "cardinality"),
+    "repairs_null": ("repairs", "example6.cdl", "--semantics", "null"),
+    "repairs_null_cardinality": (
+        "repairs", "example6.cdl", "--semantics", "null", "--minimality", "cardinality",
+    ),
+    "repairs_ics": ("repairs", *REGISTRAR_Q2_JOHN, "--ics"),
+    "causes_tuple": ("causes", "example1.cdl"),
+    "causes_tuple_ics": ("causes", *REGISTRAR_Q2_JOHN, "--ics"),
+    "causes_null_attribute": ("causes", "example7.cdl", "--semantics", "null"),
+    "causes_null_tuple": (
+        "causes", "example7.cdl", "--semantics", "null", "--level", "tuple",
+    ),
+    "responsibility_tuple": ("responsibility", "example1.cdl"),
+    "responsibility_null_attribute": (
+        "responsibility", "example6.cdl", "--semantics", "null",
+    ),
+    "responsibility_null_tuple": (
+        "responsibility", "example6.cdl", "--semantics", "null", "--level", "tuple",
+    ),
+    "eval_boolean": ("eval", "example1.cdl"),
+    "eval_open": ("eval", "example_registrar.cdl", "--query", "Q2"),
+    "eval_grounded": ("eval", "example_registrar.cdl", "--query", "Q2", "--answer", "zoe"),
+}
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_stdout_matches_golden(capsys, case, fmt):
+    command, fixture, *flags = CASES[case]
+    code = main([command, str(fixture_path(fixture)), *flags, "--format", fmt])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (0, "")
+    expected = fixture_path("cli") / f"{case}.{fmt}"
+    assert captured.out == expected.read_text(encoding="utf-8")

@@ -86,6 +86,21 @@ class TestParsing:
         assert exc.value.line == 2
 
     @pytest.mark.parametrize(
+        "text, message, line, column",
+        [
+            # a CRLF ends a line at its "\n"; a comment is skipped whole
+            ("R(1; a).\r\n% c\r\nR(2; b) x", "expected '.', found 'x'", 3, 9),
+            ("R(1; a", "expected ')', found ''", 1, 7),  # end of input
+            ("R(1; a).\n  $", "unexpected character '$'", 2, 3),
+        ],
+    )
+    def test_parse_error_line_and_column(self, text, message, line, column):
+        with pytest.raises(ParseError) as exc:
+            parse_problem(text)
+        assert (exc.value.line, exc.value.column) == (line, column)
+        assert str(exc.value) == f"{message} (line {line}, column {column})"
+
+    @pytest.mark.parametrize(
         "text",
         [
             "S(a)",  # missing terminator

@@ -71,6 +71,13 @@ class TestNullRepairs:
         records = null_repairs(problem.instance, dcs)
         assert len(records) == 1 and records[0].delta == frozenset()
 
+    def test_violation_without_candidate_positions_has_no_repair(self):
+        # X occurs once and feeds no built-in, so nulling S's value still
+        # leaves S(X) matched: no change set repairs the instance
+        problem = parse_problem("S(1; a).\n:- S(X).")
+        assert null_repairs(problem.instance, problem.dcs) == []
+        assert cardinality_null_repairs(problem.instance, problem.dcs) == []
+
     def test_every_repair_is_consistent_and_minimal(self, load):
         problem = load("example6.cdl")
         dcs = negate_query_to_dc(problem.query("q"))
@@ -87,7 +94,6 @@ class TestCardinalityNullRepairs:
         dcs = negate_query_to_dc(problem.query("q"))
         records = cardinality_null_repairs(problem.instance, dcs)
         assert deltas(records) == {refs(("S", 5, 1))}
-        assert records[0].kind == "cardinality-minimal"
 
     def test_singleton_beats_triple(self, load):
         problem = load("example7.cdl")
