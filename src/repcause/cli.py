@@ -217,15 +217,17 @@ def _cmd_causes(problem: Problem, args: argparse.Namespace, with_sets: bool) -> 
     as_json = args.format == "json"
     causes = []
     if args.semantics == "tuple":
+        caps = {}
+        if with_sets:
+            caps = {
+                "max_contingency_count": args.max_contingency_count,
+                "max_contingency_size": args.max_contingency_size,
+            }
         if args.ics:
-            reports = actual_causes_under_ics(problem.instance, query, problem.ids)
+            reports = actual_causes_under_ics(
+                problem.instance, query, problem.ids, **caps
+            )
         else:
-            caps = {}
-            if with_sets:
-                caps = {
-                    "max_contingency_count": getattr(args, "max_contingency_count", None),
-                    "max_contingency_size": getattr(args, "max_contingency_size", None),
-                }
             reports = actual_causes(problem.instance, query, **caps)
         for r in reports:
             if as_json:

@@ -293,12 +293,13 @@ class _Parser:
         return DenialConstraint(body)
 
     def _parse_named_statement(self, instance, ids, query_parts, query_order) -> None:
-        name = self.next().text
+        name_tok = self.next()
+        name = name_tok.text
         if self.peek().text == ":-":  # Boolean query head without parentheses
             self.next()
             body = self._parse_body()
             self.expect("?")
-            self._record_query(name, (), body, query_parts, query_order)
+            self._record_query(name_tok, (), body, query_parts, query_order)
             return
         self.expect("(")
         # disambiguate: a fact holds only constants (with an optional leading
@@ -311,7 +312,7 @@ class _Parser:
             values = self._parse_constant_list()
             self.expect(")")
             self.expect(".")
-            self._add_fact(instance, name, values, tid)
+            self._add_fact(instance, name_tok, values, tid)
             return
         terms = self._parse_term_list()
         self.expect(")")
@@ -320,14 +321,14 @@ class _Parser:
             values = [t for t in terms if isinstance(t, Constant)]
             if len(values) != len(terms):
                 raise self.error("facts must be ground", closer)
-            self._add_fact(instance, name, values, None)
+            self._add_fact(instance, name_tok, values, None)
         elif closer.text == ":-":
             head_vars = tuple(t for t in terms if isinstance(t, Var))
             if len(head_vars) != len(terms):
                 raise self.error("query head must hold variables only", closer)
             body = self._parse_body()
             self.expect("?")
-            self._record_query(name, head_vars, body, query_parts, query_order)
+            self._record_query(name_tok, head_vars, body, query_parts, query_order)
         elif closer.text == "->":
             conclusion = self._parse_atom()
             self.expect(".")
@@ -337,21 +338,25 @@ class _Parser:
                 f"expected '.', ':-' or '->', found {closer.text!r}", closer
             )
 
-    def _record_query(self, name, head_vars, body, query_parts, query_order) -> None:
+    # an error about a whole statement points at the statement's name token
+
+    def _record_query(self, name_tok, head_vars, body, query_parts, query_order):
+        name = name_tok.text
         if name in query_parts:
             known_head, bodies = query_parts[name]
             if known_head != tuple(head_vars):
-                self.fail(f"query {name} redeclared with different head")
+                message = f"query {name} redeclared with different head"
+                raise self.error(message, name_tok)
             bodies.append(body)
         else:
             query_parts[name] = (tuple(head_vars), [body])
             query_order.append(name)
 
-    def _add_fact(self, instance: Instance, name, values, tid) -> None:
+    def _add_fact(self, instance: Instance, name_tok, values, tid) -> None:
         try:
-            instance.add_fact(name, values, tid=tid)
+            instance.add_fact(name_tok.text, values, tid=tid)
         except ModelError as exc:
-            self.fail(str(exc))
+            raise self.error(str(exc), name_tok)
 
     # -- pieces ------------------------------------------------------------
 

@@ -1,13 +1,37 @@
 """Tuple-level causes, contingency sets and responsibilities for query
 answers.
 
-A tuple is an actual cause for a Boolean query when some contingency set of
-deletions makes it counterfactual: deleting the set keeps the query true,
-additionally deleting the tuple falsifies it. Responsibility is
-1/(1 + size of the smallest contingency set). Causes are read off the
-tuple-deletion repairs of the negated query; a brute-force counterfactual
-search doubles as an independent oracle, and is also the route used when
-hard inclusion dependencies restrict the admissible deletions.
+A tuple τ is an actual cause for a Boolean query Q when some contingency
+set Γ of deletions makes it counterfactual: Q holds on D∖Γ and fails on
+D∖(Γ∪{τ}). Responsibility is 1/(1 + size of the smallest contingency set).
+Under hard inclusion dependencies (INDs) both D∖Γ and D∖(Γ∪{τ}) must also
+satisfy them. Both cases are read off the minimal transversals M of the
+query's match hypergraph, i.e. the removed sets of the S-repairs of ¬Q,
+restricted to endogenous tuples.
+
+Write cl(X) for X plus the tuples that cascading the unwitnessed premises
+out of D∖X deletes, so D∖cl(X) satisfies the INDs; X is closed when
+cl(X) = X, i.e. when D∖X satisfies them. cl is monotone, and closed sets are
+closed under intersection, because a union of subinstances that satisfy an
+IND satisfies it too.
+
+Lemma: every ⊆-minimal contingency set Γ of τ equals cl(M)∖{τ} for some
+minimal transversal M ∋ τ. Proof: S = Γ∪{τ} is closed, because D∖S satisfies
+the INDs, and it hits every match, because Q fails on D∖S; so S contains a
+minimal transversal M. Q holds on D∖Γ, so some match meets S in τ alone; M
+hits it, so τ ∈ M. Then cl(M) ⊆ cl(S) = S, and Γ' = cl(M)∖{τ} = cl(M) ∩ Γ
+is closed, as an intersection of closed sets. Q holds on D∖Γ' ⊇ D∖Γ, since
+queries are positive, and D∖(Γ'∪{τ}) = D∖cl(M) satisfies the INDs and
+fails Q, since cl(M) ⊇ M. So Γ' ⊆ Γ is a contingency set, and Γ = Γ' by
+minimality. ∎
+
+So the candidates for τ are the sets cl(M)∖{τ} with τ ∈ M and cl(M)
+endogenous. Each one whose D∖Γ satisfies the INDs and Q is a contingency
+set, and the ⊆-minimal ones per τ are exactly τ's minimal contingency sets.
+With no INDs, cl(M) = M: each M∖{τ} misses some match, since M is minimal,
+and no two of them are comparable, so the causes are read off the repairs
+directly. The brute-force counterfactual search, `causes_oracle`, is the
+independent check of both routes.
 """
 from __future__ import annotations
 
@@ -23,7 +47,13 @@ from .lang import (
     satisfies_ids,
 )
 from .model import Instance
-from .tuple_repairs import c_repairs, minimal_subsets, s_repairs
+from .tuple_repairs import (
+    c_repairs,
+    ids_closure,
+    minimal_subsets,
+    s_repairs,
+    subset_minimal,
+)
 
 
 @dataclass(frozen=True)
@@ -43,8 +73,6 @@ def _build_reports(
 ) -> List[TupleCauseReport]:
     reports = []
     for tid, gammas in minimal_gammas.items():
-        if not gammas:
-            continue
         smallest = min(len(g) for g in gammas)
         shown = _sorted_sets(gammas)
         if max_size is not None:
@@ -63,29 +91,83 @@ def _build_reports(
     return reports
 
 
+def _transversal_gammas(
+    instance: Instance, query: QuerySpec, ids: Sequence[InclusionDependency]
+) -> Dict[int, Set[FrozenSet[int]]]:
+    """The ⊆-minimal contingency sets of every endogenous tid: for each
+    minimal transversal M ∋ τ of the query's matches, the candidate
+    cl(M)∖{τ} (see the module docstring). With no dependencies cl(M) = M and
+    every candidate is minimal, so the closure, the test of D∖Γ and the
+    minimality filter are skipped."""
+    endo = set(instance.endogenous_tids())
+    dcs = negate_query_to_dc(query)
+    gammas: Dict[int, Set[FrozenSet[int]]] = {}
+    for rec in s_repairs(instance, dcs, endogenous_only=len(endo) < len(instance)):
+        closed = rec.removed
+        if ids:
+            closed = ids_closure(instance, rec.removed, ids)
+            if not closed <= endo:
+                continue
+        for tid in rec.removed:
+            gamma = closed - {tid}
+            if ids:
+                # D∖(Γ∪{τ}) = D∖cl(M) satisfies the dependencies and fails
+                # the query by construction; D∖Γ is the half left to test
+                contingent = instance.delete_tuples(gamma)
+                if not (satisfies_ids(contingent, ids) and eval_bcq(contingent, query)):
+                    continue
+            gammas.setdefault(tid, set()).add(gamma)
+    if ids:
+        gammas = {tid: subset_minimal(sets) for tid, sets in gammas.items()}
+    return gammas
+
+
 def actual_causes(
     instance: Instance,
     query: QuerySpec,
     max_contingency_count: Optional[int] = None,
     max_contingency_size: Optional[int] = None,
 ) -> List[TupleCauseReport]:
-    """Causes via repairs: tid τ is a cause iff some repair removes it, and
-    each repair removing it yields the minimal contingency set
-    (removed ∖ {τ}).
+    """Causes via repairs: tid τ is a cause iff some repair of the negated
+    query removes it, and each repair removing it yields the minimal
+    contingency set (removed ∖ {τ}).
 
     The caps only trim the reported contingency lists; responsibility always
     reflects the true minimum.
     """
-    if not eval_bcq(instance, query):
-        return []
-    dcs = negate_query_to_dc(query)
-    endo = set(instance.endogenous_tids())
-    minimal_gammas: dict = {}
-    for rec in s_repairs(instance, dcs, endogenous_only=len(endo) < len(instance)):
-        for tid in rec.removed:
-            if tid in endo:
-                minimal_gammas.setdefault(tid, set()).add(rec.removed - {tid})
-    return _build_reports(minimal_gammas, max_contingency_count, max_contingency_size)
+    return _build_reports(
+        _transversal_gammas(instance, query, ()),
+        max_contingency_count,
+        max_contingency_size,
+    )
+
+
+def actual_causes_under_ics(
+    instance: Instance,
+    query: QuerySpec,
+    ids: Sequence[InclusionDependency],
+    max_contingency_count: Optional[int] = None,
+    max_contingency_size: Optional[int] = None,
+) -> List[TupleCauseReport]:
+    """Causes when the inclusion dependencies are hard: both the contingent
+    instance D∖Γ and the counterfactual instance D∖(Γ∪{τ}) must satisfy
+    them, on top of the usual two query conditions.
+
+    Each ⊆-minimal Γ is cl(M)∖{τ} for a minimal transversal M ∋ τ of the
+    query's matches, where cl(M) adds what cascading the unwitnessed
+    premises out of D∖M deletes (lemma and proof in the module docstring).
+    So the candidates come from the same transversals as `actual_causes`:
+    one closure per M, one test of D∖Γ per τ ∈ M, then the ⊆-minimal
+    candidates per τ. The caps are those of `actual_causes`. Raises
+    `ValueError` when the instance itself violates the dependencies.
+    """
+    if not satisfies_ids(instance, ids):
+        raise ValueError("instance violates the hard inclusion dependencies")
+    return _build_reports(
+        _transversal_gammas(instance, query, ids),
+        max_contingency_count,
+        max_contingency_size,
+    )
 
 
 def most_responsible_causes(instance: Instance, query: QuerySpec) -> List[int]:
@@ -128,31 +210,13 @@ def _counterfactual_gammas(
 
 
 def causes_oracle(
-    instance: Instance, query: QuerySpec
-) -> List[TupleCauseReport]:
-    """Brute force straight from the counterfactual definition; exponential,
-    for validation and for small inputs only."""
-    if not eval_bcq(instance, query):
-        return []
-    return _build_reports(_counterfactual_gammas(instance, query, ()), None, None)
-
-
-def actual_causes_under_ics(
     instance: Instance,
     query: QuerySpec,
-    ids: Sequence[InclusionDependency],
+    ids: Sequence[InclusionDependency] = (),
 ) -> List[TupleCauseReport]:
-    """Causes when the inclusion dependencies are hard: both the contingent
-    instance D∖Γ and the counterfactual instance D∖(Γ∪{τ}) must satisfy
-    them, on top of the usual two query conditions.
-
-    The repair shortcut does not apply here, so this is a direct search over
-    ⊆-minimal admissible Γ.
-    """
-    if not ids:
-        return actual_causes(instance, query)
-    if not satisfies_ids(instance, ids):
-        raise ValueError("instance violates the hard inclusion dependencies")
+    """Brute force straight from the counterfactual definition, optionally
+    under hard inclusion dependencies; exponential, for validation and for
+    small inputs only."""
     if not eval_bcq(instance, query):
         return []
     return _build_reports(_counterfactual_gammas(instance, query, ids), None, None)

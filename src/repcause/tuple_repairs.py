@@ -92,7 +92,7 @@ def minimal_subsets(
     size. Supersets of a yielded set are skipped without calling `holds`.
 
     Exhaustive and exponential: this is the brute-force search behind the
-    counterfactual oracles and the `--ics` cause search.
+    counterfactual oracles.
     """
     found: List[FrozenSet[T]] = []
     for size in range(len(universe) + 1):
@@ -164,6 +164,11 @@ def diff_sets(
     return [r.removed for r in records if tid in r.removed]
 
 
+def subset_minimal(sets: Set[FrozenSet[int]]) -> Set[FrozenSet[int]]:
+    """The members of `sets` with no proper subset in `sets`."""
+    return {s for s in sets if not any(other < s for other in sets)}
+
+
 def _cascade_ids(
     instance: Instance, ids: Sequence[InclusionDependency]
 ) -> Instance:
@@ -174,6 +179,16 @@ def _cascade_ids(
         if not bad:
             return current
         current = current.delete_tuples(bad)
+
+
+def ids_closure(
+    instance: Instance, removed: FrozenSet[int], ids: Sequence[InclusionDependency]
+) -> FrozenSet[int]:
+    """cl(removed): the tids gone once `removed` is deleted and the
+    unwitnessed premises are cascaded out, so that
+    D ∖ cl(removed) = _cascade_ids(D ∖ removed)."""
+    settled = _cascade_ids(instance.delete_tuples(removed), ids)
+    return frozenset(instance.tids()).difference(settled.tids())
 
 
 def s_repairs_under_hard_ics(
@@ -191,13 +206,9 @@ def s_repairs_under_hard_ics(
     """
     if not ids:
         return s_repairs(instance, dcs)
-    candidates: Set[FrozenSet[int]] = set()
-    for rec in s_repairs(instance, dcs):
-        settled = _cascade_ids(rec.repair, ids)
-        candidates.add(frozenset(set(instance.tids()) - set(settled.tids())))
-    removed_sets = [
-        r for r in candidates if not any(other < r for other in candidates)
-    ]
-    removed_sets.sort(key=lambda r: (len(r), sorted(r)))
+    candidates = {
+        ids_closure(instance, rec.removed, ids) for rec in s_repairs(instance, dcs)
+    }
+    removed_sets = sorted(subset_minimal(candidates), key=lambda r: (len(r), sorted(r)))
     return [RepairRecord(instance, r) for r in removed_sets]
 

@@ -191,6 +191,25 @@ class TestCauses:
         assert "tid 1: responsibility 1/2" in out
         assert "contingency" not in out
 
+    @pytest.mark.parametrize(
+        "flag", ["--max-contingency-count", "--max-contingency-size"]
+    )
+    def test_contingency_caps_apply_under_ics(self, capsys, flag):
+        code, out, _ = run(
+            capsys,
+            "causes",
+            fixture_path("example_registrar.cdl"),
+            "--query",
+            "Q2",
+            "--answer",
+            "john",
+            "--ics",
+            flag,
+            "0",
+        )
+        assert code == 0
+        assert out == "tid 4: responsibility 1/3\ntid 8: responsibility 1/3\n"
+
     def test_responsibility_omits_contingency_sets(self, capsys):
         code, out, _ = run(capsys, "responsibility", fixture_path("example1.cdl"))
         assert code == 0

@@ -28,6 +28,7 @@ CASES = {
         "causes", "example7.cdl", "--semantics", "null", "--level", "tuple",
     ),
     "responsibility_tuple": ("responsibility", "example1.cdl"),
+    "responsibility_tuple_ics": ("responsibility", *REGISTRAR_Q2_JOHN, "--ics"),
     "responsibility_null_attribute": (
         "responsibility", "example6.cdl", "--semantics", "null",
     ),

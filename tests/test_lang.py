@@ -92,6 +92,15 @@ class TestParsing:
             ("R(1; a).\r\n% c\r\nR(2; b) x", "expected '.', found 'x'", 3, 9),
             ("R(1; a", "expected ')', found ''", 1, 7),  # end of input
             ("R(1; a).\n  $", "unexpected character '$'", 2, 3),
+            # a statement-level error points at the statement's name
+            ("S(1; a).\nR(1; b).\n\n\nT(c).", "duplicate tid 1", 2, 1),
+            ("S(a). S(a, b).", "arity conflict for S: declared 1, got 2", 1, 7),
+            (
+                "q(X) :- S(X)?\n\n  q :- S(a)?\nS(a).",
+                "query q redeclared with different head",
+                3,
+                3,
+            ),
         ],
     )
     def test_parse_error_line_and_column(self, text, message, line, column):

@@ -7,9 +7,12 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repcause import (
     actual_causes,
+    actual_causes_under_ics,
     causes_oracle,
     is_consistent,
     negate_query_to_dc,
@@ -20,6 +23,7 @@ from repcause import (
     violations,
 )
 from repcause.lang import CrossTypeComparisonError, Var, _match_body, eval_builtin
+from repcause.tuple_repairs import _cascade_ids
 
 SEED = 20260823
 RELATIONS = [("S", 1), ("R", 2), ("T", 3)]
@@ -75,6 +79,94 @@ def test_repair_based_causes_match_counterfactual_search():
         checked += 1
         nontrivial += bool(fast)
     assert nontrivial >= 30  # the corpus must actually exercise the search
+
+
+# inclusion dependencies over RELATIONS, chains and cycles among them
+ID_MENU = [
+    "R(X, Y) -> S(Y).",
+    "R(X, Y) -> S(X).",
+    "S(X) -> R(Y, X).",
+    "S(X) -> R(X, Y).",
+    "T(X, Y, Z) -> R(X, Y).",
+    "R(X, Y) -> T(Y, X, Z).",
+    "T(X, Y, Z) -> S(Z).",
+    "S(X) -> T(Y, Z, X).",
+]
+ICS_CONSTANTS = ["a", "b", "1"]
+
+
+def ics_case(text, exogenous):
+    """The instance of `text` with the premises its inclusion dependencies
+    leave unwitnessed cascaded out, so that it satisfies them, and the tids
+    in `exogenous` marked exogenous; with the query `q` and the
+    dependencies."""
+    problem = parse_problem(text)
+    cascaded = _cascade_ids(problem.instance, problem.ids)
+    instance = cascaded._clone_schema()
+    for t in cascaded.tuples():
+        instance.add_fact(
+            t.relation, t.values, tid=t.tid, endogenous=t.tid not in exogenous
+        )
+    return instance, problem.query("q"), problem.ids
+
+
+def test_causes_under_ics_match_counterfactual_search():
+    rng = random.Random(SEED + 4)
+    nonempty = 0
+    changed = 0  # cases where the dependencies change the causes
+    for _ in range(2000):
+        # a small constant pool keeps the random queries often true
+        lines = random_facts(rng, max_tuples=9, constants=ICS_CONSTANTS)
+        lines += rng.sample(ID_MENU, rng.randint(1, 3))
+        for _ in range(rng.randint(1, 2)):
+            lines.append(f"q :- {random_body(rng, constants=ICS_CONSTANTS)}?")
+        text = "\n".join(lines)
+        exogenous = set()
+        if rng.random() < 0.3:
+            exogenous = set(rng.sample(range(1, 10), rng.randint(1, 4)))
+        instance, query, ids = ics_case(text, exogenous)
+        fast = actual_causes_under_ics(instance, query, ids)
+        assert fast == causes_oracle(instance, query, ids), (text, exogenous)
+        nonempty += bool(fast)
+        changed += fast != actual_causes(instance, query)
+    assert nonempty >= 250
+    assert changed >= 80
+
+
+def atoms(terms):
+    """(relation, terms) pairs over RELATIONS, each term drawn from `terms`."""
+    return st.sampled_from(RELATIONS).flatmap(
+        lambda rel: st.tuples(
+            st.just(rel[0]),
+            st.lists(st.sampled_from(terms), min_size=rel[1], max_size=rel[1]),
+        )
+    )
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(
+    facts=st.lists(atoms("ab"), max_size=8),
+    ids=st.lists(st.sampled_from(ID_MENU), min_size=1, max_size=3, unique=True),
+    bodies=st.lists(
+        st.lists(atoms("aXYZ"), min_size=1, max_size=3), min_size=1, max_size=2
+    ),
+    exogenous=st.sets(st.integers(1, 8), max_size=3),
+)
+def test_causes_under_ics_match_counterfactual_search_property(
+    facts, ids, bodies, exogenous
+):
+    lines = [
+        f"{rel}({tid}; {', '.join(values)})."
+        for tid, (rel, values) in enumerate(facts, start=1)
+    ]
+    for body in bodies:
+        conjuncts = ", ".join(f"{rel}({', '.join(terms)})" for rel, terms in body)
+        lines.append(f"q :- {conjuncts}?")
+    text = "\n".join(lines + ids)
+    instance, query, deps = ics_case(text, exogenous)
+    assert actual_causes_under_ics(instance, query, deps) == causes_oracle(
+        instance, query, deps
+    )
 
 
 def test_pruned_null_repairs_match_exhaustive_search():

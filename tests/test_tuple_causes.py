@@ -126,6 +126,51 @@ class TestCausesUnderInclusionDependencies:
             problem.instance, query
         )
 
+    def test_chain_of_dependent_pairs_in_closed_form(self):
+        # R(ai, bi) needs S(bi): deleting S(bi) cascades R(ai, bi) away, so
+        # only the R tuples are causes, each needing every other R deleted
+        k = 8
+        facts = [f"R({i}; a{i}, b{i}). S({k + i}; b{i})." for i in range(1, k + 1)]
+        problem = parse_problem(
+            "\n".join(facts + ["q :- R(X, Y), S(Y)?", "R(X, Y) -> S(Y)."])
+        )
+        query = problem.query("q")
+        reports = actual_causes_under_ics(problem.instance, query, problem.ids)
+        r_tids = set(range(1, k + 1))
+        assert [r.tid for r in reports] == sorted(r_tids)
+        for r in reports:
+            assert r.contingency_sets == (frozenset(r_tids - {r.tid}),)
+            assert r.responsibility == Fraction(1, k)
+            assert not r.counterfactual
+
+    def test_premise_is_no_cause_when_its_witness_must_go(self):
+        # falsifying q deletes S(b), and then R(a, b) has no witness, so the
+        # candidate {S(b)} for R(a, b) fails the dependency on D∖Γ
+        problem = parse_problem(
+            "R(1; a, b). S(2; b).\nq :- R(X, Y)?\nq :- S(Y)?\nR(X, Y) -> S(Y)."
+        )
+        reports = actual_causes_under_ics(
+            problem.instance, problem.query("q"), problem.ids
+        )
+        expected = [(2, (frozenset({1}),))]
+        assert [(r.tid, r.contingency_sets) for r in reports] == expected
+
+    def test_caps_trim_reported_sets_only(self, load):
+        problem = load("example_registrar.cdl")
+        q2 = substitute_answer(problem.query("Q2"), [sym("john")])
+        for caps in ({"max_contingency_count": 0}, {"max_contingency_size": 1}):
+            reports = actual_causes_under_ics(problem.instance, q2, problem.ids, **caps)
+            assert [(r.tid, r.contingency_sets) for r in reports] == [(4, ()), (8, ())]
+            assert {r.responsibility for r in reports} == {Fraction(1, 3)}
+
+    def test_oracle_agrees_on_the_registrar(self, load):
+        problem = load("example_registrar.cdl")
+        for name in ("Q1", "Q2"):
+            query = substitute_answer(problem.query(name), [sym("john")])
+            assert actual_causes_under_ics(
+                problem.instance, query, problem.ids
+            ) == causes_oracle(problem.instance, query, problem.ids)
+
     def test_violating_instance_rejected(self, load):
         problem = load("example_registrar.cdl")
         q2 = substitute_answer(problem.query("Q2"), [sym("john")])
