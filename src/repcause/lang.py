@@ -1,16 +1,18 @@
 """Input language: facts, denial constraints, conjunctive queries and
 inclusion dependencies, plus their evaluation under null semantics.
 
-The null semantics is enforced in one place: repeated variables and embedded
-constants are rewritten to fresh variables plus explicit equality built-ins
-before evaluation, and every built-in with a null operand is false. A
-variable occurring in a single atom position may still bind null; the atom
-matches and the position is simply irrelevant to the query.
+The null semantics is enforced in one place: a repeated variable or an
+embedded constant is an equality, with the variable's first occurrence or
+with the constant, and every equality or built-in with a null operand is
+false. A variable occurring in a single atom position may still bind null;
+the atom matches and the position is simply irrelevant to the query.
 
-A body is matched by an indexed join planned once per body object: the
-equalities written for joins and constants become hash-index keys, so a join
-probes the tuples it needs rather than scanning every pair. The plan keeps
-the order and the exceptions of a nested loop over tuples in tid order.
+A body is matched by an indexed join planned once per body object: an
+equality whose other operand is a constant or a slot of an earlier atom is
+a hash-index key, so a join probes the tuples it needs rather than scanning
+every pair; the other equalities and the built-ins are checks. The plan
+keeps the order and the exceptions of a nested loop over tuples in tid
+order.
 """
 from __future__ import annotations
 
@@ -20,7 +22,6 @@ from functools import cached_property
 from operator import itemgetter
 from typing import (
     Dict,
-    FrozenSet,
     Iterator,
     List,
     NamedTuple,
@@ -31,7 +32,7 @@ from typing import (
     Union,
 )
 
-from .model import NULL, Constant, Instance, ModelError, PositionRef, num, sym
+from .model import NULL, Constant, Instance, ModelError, num, sym
 
 
 class ParseError(ValueError):
@@ -150,16 +151,6 @@ class InclusionDependency:
 
     def render(self) -> str:
         return f"{self.premise.render()} -> {self.conclusion.render()}."
-
-
-@dataclass(frozen=True)
-class ViolationWitness:
-    """One satisfying assignment of a DC body over an instance."""
-
-    tids: FrozenSet[int]
-    # positions whose nulling falsifies this assignment: the
-    # `candidate_slots` of the constraint body, read through its tuples
-    candidate_positions: FrozenSet[PositionRef]
 
 
 @dataclass
@@ -469,48 +460,6 @@ def render_problem(problem: Problem) -> str:
 # ---------------------------------------------------------------------------
 # Evaluation
 
-_FRESH_PREFIX = "_v"
-
-
-class _NormalBody(NamedTuple):
-    """A body with every atom slot holding a distinct fresh variable; joins,
-    constants and the original built-ins all live in `builtins`. The first
-    `n_joins` of them are the equalities written for joins and constants,
-    in slot order; the original built-ins follow, in their order."""
-
-    atoms: Tuple[Tuple[str, Tuple[str, ...]], ...]  # (relation, slot var names)
-    builtins: Tuple[BuiltinAtom, ...]
-    n_joins: int
-    # original variable name -> the slot of its first occurrence
-    first_slot: Dict[str, str]
-
-
-def _normalize(body: ConjunctiveBody) -> _NormalBody:
-    counter = 0
-    first_seen: Dict[str, str] = {}
-    atoms = []
-    builtins: List[BuiltinAtom] = []
-    for atom in body.atoms:
-        slot_names = []
-        for term in atom.terms:
-            counter += 1
-            fresh = f"{_FRESH_PREFIX}{counter}"
-            slot_names.append(fresh)
-            if isinstance(term, Var):
-                if term.name in first_seen:
-                    builtins.append(BuiltinAtom("=", Var(first_seen[term.name]), Var(fresh)))
-                else:
-                    first_seen[term.name] = fresh
-            else:
-                builtins.append(BuiltinAtom("=", Var(fresh), term))
-        atoms.append((atom.relation, tuple(slot_names)))
-    n_joins = len(builtins)
-    for b in body.builtins:
-        left = Var(first_seen[b.left.name]) if isinstance(b.left, Var) else b.left
-        right = Var(first_seen[b.right.name]) if isinstance(b.right, Var) else b.right
-        builtins.append(BuiltinAtom(b.op, left, right))
-    return _NormalBody(tuple(atoms), tuple(builtins), n_joins, first_seen)
-
 
 class _Step(NamedTuple):
     """How `_match_body` extends a partial match by one atom.
@@ -530,60 +479,71 @@ class _Step(NamedTuple):
 
 
 class _Plan(NamedTuple):
-    slots: Tuple[str, ...]
     constants: Tuple[Constant, ...]
     steps: Tuple[_Step, ...]
-    first_slot: Dict[str, str]
+    # variable name -> (atom index, 0-based position) of its first occurrence
+    first_at: Dict[str, Tuple[int, int]]
 
 
 def _build_plan(body: ConjunctiveBody) -> _Plan:
-    """Place every built-in of the normalized body at the first atom that
-    binds all its operands. A join or constant equality pairing a slot of
-    atom i with a constant or with a slot of an earlier atom becomes a key
-    of atom i; every other built-in, the original ones included, is a check
-    there, in list order. A built-in with no variable is checked at atom 0."""
-    normal = _normalize(body)
+    """Number the body's slots in atom order and place every equality and
+    built-in at the first atom that binds all its operands.
+
+    A repeated variable or a constant in a slot is an equality with the
+    variable's first slot or with the constant. It becomes a key of the
+    slot's atom when that operand is a constant or a slot of an earlier
+    atom, and a check there otherwise. The written built-ins follow as
+    checks, in their order, at the first atom binding all their operands
+    (atom 0 when they have none)."""
     starts: List[int] = []
-    slots: List[str] = []
-    for _, names in normal.atoms:
-        starts.append(len(slots))
-        slots.extend(names)
-    index = {name: k for k, name in enumerate(slots)}
-    atom_of = {name: i for i, (_, names) in enumerate(normal.atoms) for name in names}
+    n_slots = 0
+    for atom in body.atoms:
+        starts.append(n_slots)
+        n_slots += len(atom.terms)
+    first_at: Dict[str, Tuple[int, int]] = {}
     constants: List[Constant] = []
 
-    def at(term: Term) -> int:
-        if isinstance(term, Var):
-            return index[term.name]
-        constants.append(term)
-        return len(slots) + len(constants) - 1
+    def constant_at(c: Constant) -> int:
+        constants.append(c)
+        return n_slots + len(constants) - 1
 
-    keys: List[List[Tuple[int, int]]] = [[] for _ in normal.atoms]
-    checks: List[List[Tuple[str, int, int]]] = [[] for _ in normal.atoms]
-    for k, b in enumerate(normal.builtins):
-        bound_at = [atom_of[t.name] if isinstance(t, Var) else -1 for t in (b.left, b.right)]
-        i = max(max(bound_at), 0)
-        if k < normal.n_joins and min(bound_at) < i:
-            # the slot of atom i is the operand bound there; the other is a
-            # constant or a slot of an earlier atom
-            slot, other = (b.left, b.right) if bound_at[0] == i else (b.right, b.left)
-            keys[i].append((index[slot.name] - starts[i], at(other)))
-        else:
-            checks[i].append((b.op, at(b.left), at(b.right)))
+    def slot_of(name: str) -> int:
+        i, j = first_at[name]
+        return starts[i] + j
+
+    def operand(term: Term) -> Tuple[int, int]:
+        """(atom that binds a built-in operand, its value index)"""
+        if isinstance(term, Var):
+            return first_at[term.name][0], slot_of(term.name)
+        return 0, constant_at(term)
+
+    keys: List[List[Tuple[int, int]]] = [[] for _ in body.atoms]
+    checks: List[List[Tuple[str, int, int]]] = [[] for _ in body.atoms]
+    for i, atom in enumerate(body.atoms):
+        for j, term in enumerate(atom.terms):
+            if not isinstance(term, Var):
+                keys[i].append((j, constant_at(term)))
+            elif term.name not in first_at:
+                first_at[term.name] = (i, j)
+            elif first_at[term.name][0] < i:
+                keys[i].append((j, slot_of(term.name)))
+            else:
+                checks[i].append(("=", slot_of(term.name), starts[i] + j))
+    for b in body.builtins:
+        (i, left), (k, right) = operand(b.left), operand(b.right)
+        checks[max(i, k)].append((b.op, left, right))
     steps = tuple(
         _Step(
-            rel,
+            atom.relation,
             start,
-            start + len(names),
+            start + len(atom.terms),
             tuple(p for p, _ in atom_keys),
             tuple(q for _, q in atom_keys),
             tuple(atom_checks),
         )
-        for (rel, names), start, atom_keys, atom_checks in zip(
-            normal.atoms, starts, keys, checks
-        )
+        for atom, start, atom_keys, atom_checks in zip(body.atoms, starts, keys, checks)
     )
-    return _Plan(tuple(slots), tuple(constants), steps, normal.first_slot)
+    return _Plan(tuple(constants), steps, first_at)
 
 
 def eval_builtin(op: str, left: Constant, right: Constant) -> bool:
@@ -612,11 +572,9 @@ def eval_builtin(op: str, left: Constant, right: Constant) -> bool:
     raise LangError(f"unknown builtin {op}")
 
 
-def _match_body(
-    instance: Instance, plan: _Plan
-) -> Iterator[Tuple[Tuple[int, ...], Dict[str, Constant]]]:
-    """All satisfying assignments, yielded as (tids per atom, slot binding),
-    in lexicographic order of the tids.
+def _match_body(instance: Instance, plan: _Plan) -> Iterator[Tuple[int, ...]]:
+    """All satisfying assignments, yielded as their tids, one per atom, in
+    lexicographic order.
 
     An indexed join, walked with a stack of iterators rather than by
     recursion, so a body of any length can be matched. Each atom's tuples
@@ -625,12 +583,12 @@ def _match_body(
     there: an equality with a null operand is false, so a probe holding null
     matches nothing.
 
-    Only the equalities `_normalize` writes for joins and constants become
-    keys; the original built-ins stay checks. That keeps the exceptions of a
-    plain nested loop that tests every built-in in list order once its
-    operands are bound: the join and constant equalities come first in that
-    list and an equality never raises, so a tuple a key rules out fails
-    before an order comparison could raise `CrossTypeComparisonError`.
+    Only the equalities of joins and constants become keys; the written
+    built-ins stay checks. That keeps the exceptions of a plain nested loop
+    that tests, once their operands are bound, the join and constant
+    equalities first and then the built-ins in written order: an equality
+    never raises, so a tuple a key rules out fails before an order
+    comparison could raise `CrossTypeComparisonError`.
     """
     steps = plan.steps
     # per atom: its tuples, or for a keyed atom a dict from key to tuples
@@ -649,7 +607,7 @@ def _match_body(
                 by_key.setdefault(key_of(tup.values), []).append(tup)
         sources.append(by_key)
     probes = [itemgetter(*s.probe_at) if s.probe_at else None for s in steps]
-    values: List[Optional[Constant]] = [None] * len(plan.slots) + list(plan.constants)
+    values: List[Optional[Constant]] = [None] * steps[-1].stop + list(plan.constants)
 
     def candidates(i: int) -> Iterator:
         probe = probes[i]
@@ -669,7 +627,7 @@ def _match_body(
             else:
                 tids[i] = tup.tid
                 if i == last:
-                    yield tuple(tids), dict(zip(plan.slots, values))
+                    yield tuple(tids)
                     continue
                 stack.append(candidates(i + 1))
                 break
@@ -692,9 +650,9 @@ def eval_open(instance: Instance, query: QuerySpec) -> Set[Tuple[Constant, ...]]
     answers: Set[Tuple[Constant, ...]] = set()
     for body in query.disjuncts:
         plan = body._plan
-        head_slots = [plan.first_slot[v.name] for v in query.head_vars]
-        for _, binding in _match_body(instance, plan):
-            answers.add(tuple(binding[s] for s in head_slots))
+        heads = [plan.first_at[v.name] for v in query.head_vars]
+        for tids in _match_body(instance, plan):
+            answers.add(tuple(instance.get(tids[i]).values[j] for i, j in heads))
     return answers
 
 
@@ -737,8 +695,8 @@ def candidate_slots(body: ConjunctiveBody) -> List[Tuple[int, int]]:
     """(atom index, 1-based position) pairs whose nulling can falsify the
     body: slots of a variable read at least twice or by a built-in, and
     slots holding a non-null constant. In a satisfying assignment every
-    such slot holds a non-null value, since each of them takes part in a
-    built-in once the body is normalized."""
+    such slot holds a non-null value, since each of them is an operand of a
+    join or constant equality or of a built-in."""
     counts: Dict[str, int] = {}
     for atom in body.atoms:
         for t in atom.variables():
@@ -757,22 +715,10 @@ def candidate_slots(body: ConjunctiveBody) -> List[Tuple[int, int]]:
 
 def violations(
     instance: Instance, dcs: Sequence[DenialConstraint]
-) -> List[ViolationWitness]:
-    """All satisfying assignments of each DC body, with their tid hyperedges
-    and nullable candidate positions."""
-    out: List[ViolationWitness] = []
-    for dc in dcs:
-        slots = [(dc.body.atoms[i].relation, i, j) for i, j in candidate_slots(dc.body)]
-        for tids, _ in _match_body(instance, dc.body._plan):
-            out.append(
-                ViolationWitness(
-                    tids=frozenset(tids),
-                    candidate_positions=frozenset(
-                        PositionRef(rel, tids[i], j) for rel, i, j in slots
-                    ),
-                )
-            )
-    return out
+) -> List[Tuple[DenialConstraint, Tuple[int, ...]]]:
+    """All satisfying assignments of each DC body, as (dc, tids) pairs with
+    one tid per body atom, DC by DC in the order given."""
+    return [(dc, tids) for dc in dcs for tids in _match_body(instance, dc.body._plan)]
 
 
 def is_consistent(instance: Instance, dcs: Sequence[DenialConstraint]) -> bool:
@@ -797,6 +743,12 @@ def unsupported_premises(
     """
     bad: Set[int] = set()
     for dep in ids:
+        for atom in (dep.premise, dep.conclusion):
+            tuples = instance.tuples_of(atom.relation)
+            if tuples and len(tuples[0].values) != len(atom.terms):
+                raise LangError(
+                    f"arity mismatch for {atom.relation} in inclusion dependency"
+                )
         shared = sorted(dep.shared_vars(), key=lambda v: v.name)
         prem_at = [dep.premise.terms.index(v) for v in shared]
         concl_at = [dep.conclusion.terms.index(v) for v in shared]
@@ -807,10 +759,6 @@ def unsupported_premises(
             for t in instance.tuples_of(dep.conclusion.relation)
         }
         for tup in instance.tuples_of(dep.premise.relation):
-            if len(tup.values) != len(dep.premise.terms):
-                raise LangError(
-                    f"arity mismatch for {dep.premise.relation} in inclusion dependency"
-                )
             key = tuple(tup.values[j] for j in prem_at)
             if any(v.is_null() for v in key) or key not in keys:
                 bad.add(tup.tid)

@@ -11,9 +11,11 @@ all subsets of non-null positions validates the reduction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import groupby
+from operator import itemgetter
 from typing import FrozenSet, List, Sequence
 
-from .lang import DenialConstraint, is_consistent, violations
+from .lang import DenialConstraint, candidate_slots, is_consistent, violations
 from .model import Instance, PositionRef
 from .tuple_repairs import minimal_hitting_sets, minimal_subsets
 
@@ -38,7 +40,16 @@ def _candidate_edges(
     """One hyperedge per violating assignment: the nullable positions whose
     change falsifies it. Join positions carrying null already fail the
     assignment, so every collected position is non-null in D."""
-    return [w.candidate_positions for w in violations(instance, dcs)]
+    edges: List[FrozenSet[PositionRef]] = []
+    # `violations` lists the matches DC by DC, so each DC's slots are read once
+    for dc, matches in groupby(violations(instance, dcs), key=itemgetter(0)):
+        atoms = dc.body.atoms
+        slots = [(atoms[i].relation, i, j) for i, j in candidate_slots(dc.body)]
+        edges.extend(
+            frozenset(PositionRef(rel, tids[i], j) for rel, i, j in slots)
+            for _, tids in matches
+        )
+    return edges
 
 
 def null_repairs(

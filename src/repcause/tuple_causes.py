@@ -48,7 +48,6 @@ from .lang import (
 )
 from .model import Instance
 from .tuple_repairs import (
-    c_repairs,
     ids_closure,
     minimal_subsets,
     s_repairs,
@@ -102,7 +101,7 @@ def _transversal_gammas(
     endo = set(instance.endogenous_tids())
     dcs = negate_query_to_dc(query)
     gammas: Dict[int, Set[FrozenSet[int]]] = {}
-    for rec in s_repairs(instance, dcs, endogenous_only=len(endo) < len(instance)):
+    for rec in s_repairs(instance, dcs, endogenous_only=True):
         closed = rec.removed
         if ids:
             closed = ids_closure(instance, rec.removed, ids)
@@ -171,15 +170,10 @@ def actual_causes_under_ics(
 
 
 def most_responsible_causes(instance: Instance, query: QuerySpec) -> List[int]:
-    """Tids removed by some cardinality-minimal repair of the negated query."""
-    if not eval_bcq(instance, query):
-        return []
-    dcs = negate_query_to_dc(query)
-    endo = set(instance.endogenous_tids())
-    out: Set[int] = set()
-    for rec in c_repairs(instance, dcs, endogenous_only=len(endo) < len(instance)):
-        out.update(t for t in rec.removed if t in endo)
-    return sorted(out)
+    """The tids of the causes of largest responsibility, sorted."""
+    reports = actual_causes(instance, query)
+    # the reports come by (-responsibility, tid), so the kept tids are sorted
+    return [r.tid for r in reports if r.responsibility == reports[0].responsibility]
 
 
 def _counterfactual_gammas(

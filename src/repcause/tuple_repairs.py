@@ -45,7 +45,7 @@ class ConflictHypergraph:
 def conflict_hypergraph(
     instance: Instance, dcs: Sequence[DenialConstraint]
 ) -> ConflictHypergraph:
-    edges = frozenset(w.tids for w in violations(instance, dcs))
+    edges = frozenset(frozenset(tids) for _, tids in violations(instance, dcs))
     vertices = frozenset(t for e in edges for t in e)
     return ConflictHypergraph(vertices, edges)
 
@@ -138,12 +138,10 @@ def s_repairs(
 
 
 def c_repairs(
-    instance: Instance,
-    dcs: Sequence[DenialConstraint],
-    endogenous_only: bool = False,
+    instance: Instance, dcs: Sequence[DenialConstraint]
 ) -> List[RepairRecord]:
     """The S-repairs of minimum size; `s_repairs` lists the smallest first."""
-    subs = s_repairs(instance, dcs, endogenous_only=endogenous_only)
+    subs = s_repairs(instance, dcs)
     return [r for r in subs if len(r.removed) == len(subs[0].removed)]
 
 

@@ -16,6 +16,7 @@ from repcause import (
 )
 from repcause.lang import CrossTypeComparisonError
 from repcause.model import NULL, PositionRef, num
+from repcause.null_repairs import _candidate_edges
 
 
 class TestParsing:
@@ -200,7 +201,7 @@ class TestConstraints:
     def test_violation_witnesses(self, load):
         problem = load("example1.cdl")
         dcs = negate_query_to_dc(problem.query("q"))
-        tid_sets = {w.tids for w in violations(problem.instance, dcs)}
+        tid_sets = {frozenset(tids) for _, tids in violations(problem.instance, dcs)}
         assert tid_sets == {frozenset({4, 1, 6}), frozenset({6, 3})}
 
     def test_is_consistent(self, load):
@@ -211,24 +212,25 @@ class TestConstraints:
 
     def test_candidate_positions_cover_builtin_and_constant_slots(self):
         problem = parse_problem("R(1; a, a).\n:- R(X, Y), X = Y.")
-        (w,) = violations(problem.instance, problem.dcs)
-        assert w.candidate_positions == frozenset(
+        (edge,) = _candidate_edges(problem.instance, problem.dcs)
+        assert edge == frozenset(
             {PositionRef("R", 1, 1), PositionRef("R", 1, 2)}
         )
 
     def test_candidate_positions_cover_join_slots(self):
         problem = parse_problem("R(1; a, b). S(2; b).\n:- R(X, Y), S(Y).")
-        (w,) = violations(problem.instance, problem.dcs)
-        assert w.candidate_positions == frozenset(
+        (edge,) = _candidate_edges(problem.instance, problem.dcs)
+        assert edge == frozenset(
             {PositionRef("R", 1, 2), PositionRef("S", 2, 1)}
         )
 
     def test_candidate_positions_of_a_self_join_matched_by_one_tuple(self):
         # both atoms read the same tuple, so their slots name the same positions
         problem = parse_problem("R(1; a, a).\n:- R(X, Y), R(Y, X).")
-        (w,) = violations(problem.instance, problem.dcs)
-        assert w.tids == frozenset({1})
-        assert w.candidate_positions == frozenset(
+        ((_, tids),) = violations(problem.instance, problem.dcs)
+        assert tids == (1, 1)
+        (edge,) = _candidate_edges(problem.instance, problem.dcs)
+        assert edge == frozenset(
             {PositionRef("R", 1, 1), PositionRef("R", 1, 2)}
         )
 
@@ -246,3 +248,11 @@ class TestConstraints:
             "Dep(1; d, null). Course(2; c, k).\nDep(X, Y) -> Course(U, Y)."
         )
         assert not satisfies_ids(problem.instance, problem.ids)
+
+    @pytest.mark.parametrize("s_fact", ["S(2; b).", "S(2; b, c, d)."])
+    def test_conclusion_of_the_wrong_arity_is_an_error(self, s_fact):
+        # the dependency is read against an instance whose S has another arity
+        dep = parse_problem("R(X, Y) -> S(Z, Y).").ids
+        instance = parse_problem(f"R(1; a, b). {s_fact}").instance
+        with pytest.raises(LangError, match="arity mismatch for S"):
+            satisfies_ids(instance, dep)

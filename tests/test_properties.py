@@ -22,7 +22,14 @@ from repcause import (
     s_repairs,
     violations,
 )
-from repcause.lang import CrossTypeComparisonError, Var, _match_body, eval_builtin
+from repcause.lang import (
+    CrossTypeComparisonError,
+    QuerySpec,
+    Var,
+    _match_body,
+    eval_builtin,
+    eval_open,
+)
 from repcause.tuple_repairs import _cascade_ids
 
 SEED = 20260823
@@ -221,7 +228,7 @@ TYPED_VALUES = {"int": ["1", "2", "3"], "sym": ["a", "b"]}
 def brute_force_matches(instance, body):
     """Every combination of one tuple per atom, in tid order, on which each
     repeated variable, each constant and each built-in holds under null
-    semantics, with its slot binding as `_match_body` names it."""
+    semantics, as (tids, value of each variable's first occurrence)."""
     per_atom = [[t for t in instance.tuples() if t.relation == a.relation] for a in body.atoms]
     out = []
     for combo in itertools.product(*per_atom):
@@ -242,9 +249,7 @@ def brute_force_matches(instance, body):
         if holds and all(
             eval_builtin(b.op, operand(b.left), operand(b.right)) for b in body.builtins
         ):
-            values = [v for tup in combo for v in tup.values]
-            binding = {f"_v{k}": v for k, v in enumerate(values, start=1)}
-            out.append((tuple(t.tid for t in combo), list(binding.items())))
+            out.append((tuple(t.tid for t in combo), first))
     return out
 
 
@@ -282,19 +287,28 @@ def random_typed_problem(rng):
 
 def test_indexed_matcher_matches_nested_loop_reference():
     rng = random.Random(SEED + 3)
+    # a second stream for the heads keeps the matcher corpus as it was
+    head_rng = random.Random(SEED + 9)
     nontrivial = 0
+    answered = 0
     for _ in range(2000):
         text = random_typed_problem(rng)
         problem = parse_problem(text)
         body = problem.dcs[0].body
-        fast = [
-            (tids, list(binding.items()))
-            for tids, binding in _match_body(problem.instance, body._plan)
-        ]
-        assert fast == brute_force_matches(problem.instance, body), text
+        fast = list(_match_body(problem.instance, body._plan))
+        slow = brute_force_matches(problem.instance, body)
+        assert fast == [tids for tids, _ in slow], text
         # a match through a hash-index probe
         nontrivial += bool(fast) and any(s.key_positions for s in body._plan.steps[1:])
+        # the same body as an open query, its head drawn from the atom variables
+        atom_vars = sorted({v.name for a in body.atoms for v in a.variables()})
+        head = head_rng.sample(atom_vars, head_rng.randint(0, len(atom_vars)))
+        query = QuerySpec("q", tuple(Var(v) for v in head), (body,))
+        expected = {tuple(first[v] for v in head) for _, first in slow}
+        assert eval_open(problem.instance, query) == expected, f"{text}\nhead {head}"
+        answered += bool(head) and bool(expected)
     assert nontrivial >= 120
+    assert answered >= 200
 
 
 @pytest.mark.parametrize(

@@ -1,8 +1,9 @@
-"""Every name a module of the package imports is used in that module.
+"""Every name a module of the package imports is used in that module, and
+every module-level private name of the package is referenced somewhere in it.
 
-No linter ships with the project, so this AST scan stands in for its
-unused-import check. `__init__.py` is skipped: its imports are the public
-re-exports.
+No linter ships with the project, so these AST scans stand in for its
+unused-import and dead-code checks. The import scan skips `__init__.py`: its
+imports are the public re-exports.
 """
 import ast
 from pathlib import Path
@@ -11,9 +12,8 @@ import pytest
 
 import repcause
 
-MODULES = sorted(
-    p for p in Path(repcause.__file__).parent.glob("*.py") if p.name != "__init__.py"
-)
+PACKAGE_FILES = sorted(Path(repcause.__file__).parent.glob("*.py"))
+MODULES = [p for p in PACKAGE_FILES if p.name != "__init__.py"]
 
 
 def unused_imports(source: str):
@@ -30,11 +30,55 @@ def unused_imports(source: str):
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
+def unused_private_names(sources):
+    """(module, line, name) of each module-level function, class or
+    assignment named with one leading underscore that no module of
+    `sources`, a dict from module name to source, reads, imports or reaches
+    as an attribute."""
+    defined = []
+    referenced = set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.append((module, node.lineno, node.name))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined.extend(
+                    (module, node.lineno, t.id) for t in targets if isinstance(t, ast.Name)
+                )
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                referenced.update(alias.name for alias in node.names)
+    return sorted(
+        (module, line, name)
+        for module, line, name in defined
+        if name.startswith("_") and not name.startswith("__") and name not in referenced
+    )
+
+
 def test_scan_finds_an_unused_import():
     source = "import os\nfrom typing import List, Set\nx: List[int] = []\n"
     assert unused_imports(source) == [(1, "os"), (2, "Set")]
 
 
+def test_scan_finds_an_unused_private_name():
+    sources = {
+        "a": "_KEPT = 1\n_LEFT = 2\ndef _helper():\n    return _KEPT\nclass _Old:\n    pass\n",
+        "b": "from .a import _helper\n__all__ = []\ndef public():\n    pass\n",
+    }
+    assert unused_private_names(sources) == [("a", 2, "_LEFT"), ("a", 5, "_Old")]
+
+
 @pytest.mark.parametrize("module", MODULES, ids=lambda p: p.name)
 def test_module_uses_every_import(module):
     assert unused_imports(module.read_text(encoding="utf-8")) == []
+
+
+def test_package_references_every_private_name():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE_FILES}
+    assert unused_private_names(sources) == []
