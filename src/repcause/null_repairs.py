@@ -43,8 +43,7 @@ def _candidate_edges(
     edges: List[FrozenSet[PositionRef]] = []
     # `violations` lists the matches DC by DC, so each DC's slots are read once
     for dc, matches in groupby(violations(instance, dcs), key=itemgetter(0)):
-        atoms = dc.body.atoms
-        slots = [(atoms[i].relation, i, j) for i, j in candidate_slots(dc.body)]
+        slots = [(dc.body.atoms[i].relation, i, j) for i, j in candidate_slots(dc.body)]
         edges.extend(
             frozenset(PositionRef(rel, tids[i], j) for rel, i, j in slots)
             for _, tids in matches
