@@ -7,7 +7,7 @@ deleted/stays, optionally extended with cause, contingency-set,
 responsibility and weak-constraint blocks) and null-update programs (with
 annotations `u`/`fu`/`t`/`s` tracking the update fixpoint). The engine never
 runs a solver; `verify_model_correspondence` checks externally produced
-stable models against the brute-force repairs.
+stable models against the engine's repairs.
 
 Program equality for golden tests goes through `canonical_program`, which is
 insensitive to whitespace, statement order, body-literal and head-disjunct
@@ -16,9 +16,10 @@ order, and variable naming.
 from __future__ import annotations
 
 import re
+from collections import deque
 from dataclasses import dataclass, field
 from itertools import permutations
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Deque, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .lang import BodyAtom, DenialConstraint, Var, candidate_slots
 from .model import Constant, Instance, NULL, num, sym
@@ -441,10 +442,14 @@ def parse_models(text: str) -> List[List[ModelAtom]]:
     return models
 
 
+_MODEL_ATOM = re.compile(r"\s*([A-Za-z_][A-Za-z0-9_]*)\s*\((.*)\)\s*$", re.S)
+_INTEGER = re.compile(r"-?\d+")
+
+
 def _parse_model_body(body: str) -> List[ModelAtom]:
     atoms = []
     for chunk in _split_chunks(body):
-        m = re.match(r"\s*([A-Za-z_][A-Za-z0-9_]*)\s*\((.*)\)\s*$", chunk, re.S)
+        m = _MODEL_ATOM.match(chunk)
         if not m:
             if chunk.strip():
                 raise EmitError(f"cannot parse model atom {chunk.strip()!r}")
@@ -455,22 +460,24 @@ def _parse_model_body(body: str) -> List[ModelAtom]:
 
 
 def _split_chunks(text: str) -> List[str]:
-    parts = [""]
+    """The non-blank pieces of `text` between its depth-0 commas."""
+    parts = []
     depth = 0
-    for ch in text:
+    start = 0
+    for idx, ch in enumerate(text):
         if ch in "({[":
             depth += 1
         elif ch in ")}]":
             depth -= 1
-        if ch == "," and depth == 0:
-            parts.append("")
-        else:
-            parts[-1] += ch
+        elif ch == "," and depth == 0:
+            parts.append(text[start:idx])
+            start = idx + 1
+    parts.append(text[start:])
     return [p for p in parts if p.strip()]
 
 
 def _const_of(text: str) -> Constant:
-    if re.fullmatch(r"-?\d+", text):
+    if _INTEGER.fullmatch(text):
         return num(int(text))
     if text == "null":
         return NULL
@@ -491,10 +498,6 @@ def _model_repair_key(atoms: Sequence[ModelAtom]) -> FrozenSet:
         values = tuple(_const_of(a) for a in atom.args[1:-1])
         out.add((relation, tid, values))
     return frozenset(out)
-
-
-def _instance_key(instance: Instance) -> FrozenSet:
-    return frozenset((t.relation, t.tid, t.values) for t in instance.tuples())
 
 
 @dataclass
@@ -525,27 +528,37 @@ def verify_model_correspondence(
 ) -> CorrespondenceReport:
     """Check that the solver's stable models encode exactly this engine's
     repairs, one for one."""
+    # key each repair from the source rows: drop the removed rows, or swap
+    # in the nulled variants of the rows the delta touches
+    rows = {t.tid: (t.relation, t.tid, t.values) for t in instance.tuples()}
+    source = frozenset(rows.values())
     if semantics == "tuple":
-        repairs = [r.repair for r in s_repairs(instance, dcs)]
+        repair_keys = [
+            source.difference([rows[tid] for tid in r.removed])
+            for r in s_repairs(instance, dcs)
+        ]
     elif semantics == "null":
-        repairs = [r.repair for r in null_repairs(instance, dcs)]
+        repair_keys = []
+        for r in null_repairs(instance, dcs):
+            nulled = instance.nulled_tuples(r.delta)
+            repair_keys.append(
+                source.difference([rows[t.tid] for t in nulled]).union(
+                    (t.relation, t.tid, t.values) for t in nulled
+                )
+            )
     else:
         raise EmitError(f"unknown semantics {semantics!r}")
-    repair_keys = [_instance_key(r) for r in repairs]
-    model_keys = [_model_repair_key(m) for m in parse_models(models_text)]
+    # each key's repairs in index order, so a model takes the first unused one
+    unused: Dict[FrozenSet, Deque[int]] = {}
+    for ri, rk in enumerate(repair_keys):
+        unused.setdefault(rk, deque()).append(ri)
 
     report = CorrespondenceReport()
-    used: Set[int] = set()
-    for mi, mk in enumerate(model_keys):
-        hit = None
-        for ri, rk in enumerate(repair_keys):
-            if ri not in used and rk == mk:
-                hit = ri
-                break
-        if hit is None:
-            report.unmatched_models.append(mi)
+    for mi, atoms in enumerate(parse_models(models_text)):
+        free = unused.get(_model_repair_key(atoms))
+        if free:
+            report.matches.append((mi, free.popleft()))
         else:
-            used.add(hit)
-            report.matches.append((mi, hit))
-    report.unmatched_repairs = [i for i in range(len(repair_keys)) if i not in used]
+            report.unmatched_models.append(mi)
+    report.unmatched_repairs = sorted(ri for free in unused.values() for ri in free)
     return report

@@ -18,13 +18,15 @@ import json
 import os
 import sys
 from fractions import Fraction
-from typing import List, Optional, Sequence
+from itertools import groupby
+from operator import itemgetter
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .asp import EmitOptions, emit_null_repair_program, emit_tuple_repair_program, \
     verify_model_correspondence
 from .lang import LangError, ParseError, Problem, QuerySpec, eval_bcq, eval_open, \
     negate_query_to_dc, parse_problem, substitute_answer
-from .model import Constant, ModelError, NULL, num, sym
+from .model import Constant, ModelError, NULL, PositionRef, num, sym
 from .null_causes import attr_causes, tuple_null_causes
 from .null_repairs import cardinality_null_repairs, null_repairs
 from .tuple_causes import actual_causes, actual_causes_under_ics
@@ -169,6 +171,12 @@ def _print_json(payload: dict) -> None:
 
 def _cmd_repairs(problem: Problem, args: argparse.Namespace) -> int:
     dcs = _select_dcs(problem, args)
+    # a repair keeps the source tuples in the same canonical order: it drops
+    # the ones it removes, or swaps in a nulled variant of the ones its delta
+    # touches. Each source tuple, each variant and each position is rendered
+    # once per command.
+    source = problem.instance.tuples()
+    texts = [t.render() for t in source]
     if args.semantics == "tuple":
         if args.ics:
             if args.minimality == "cardinality":
@@ -181,12 +189,12 @@ def _cmd_repairs(problem: Problem, args: argparse.Namespace) -> int:
             records = c_repairs(problem.instance, dcs)
         else:
             records = s_repairs(problem.instance, dcs)
-        # a repair keeps the source tuples it does not remove, in the same
-        # canonical order, so each tuple is rendered once
-        source = [(t.tid, t.render()) for t in problem.instance.tuples()]
         key = "removed"
         entries = [
-            (sorted(r.removed), [text for tid, text in source if tid not in r.removed])
+            (
+                sorted(r.removed),
+                [text for t, text in zip(source, texts) if t.tid not in r.removed],
+            )
             for r in records
         ]
     else:
@@ -194,13 +202,28 @@ def _cmd_repairs(problem: Problem, args: argparse.Namespace) -> int:
             raise UsageError("--ics applies to tuple semantics only")
         fn = cardinality_null_repairs if args.minimality == "cardinality" else null_repairs
         key = "delta"
-        entries = [
-            (
-                [p.render() for p in sorted(r.delta, key=lambda p: p.sort_key())],
-                [t.render() for t in r.repair.tuples()],
-            )
-            for r in fn(problem.instance, dcs)
-        ]
+        slot = {t.tid: i for i, t in enumerate(source)}
+        # a position's cell: its row's slot, its column and its text, so
+        # that sorting cells puts a delta in (relation, tid, position) order
+        cells: Dict[PositionRef, Tuple[int, int, str]] = {}
+        variants: Dict[Tuple[Tuple[int, int, str], ...], str] = {}
+        entries = []
+        for r in fn(problem.instance, dcs):
+            delta = []
+            for ref in r.delta:
+                cell = cells.get(ref)
+                if cell is None:
+                    cell = cells[ref] = (slot[ref.tid], ref.position, ref.render())
+                delta.append(cell)
+            delta.sort()
+            rows = texts.copy()
+            for i, row_cells in groupby(delta, key=itemgetter(0)):
+                row_cells = tuple(row_cells)
+                if row_cells not in variants:
+                    nulled = source[i].with_nulls(c[1] for c in row_cells)
+                    variants[row_cells] = nulled.render()
+                rows[i] = variants[row_cells]
+            entries.append(([c[2] for c in delta], rows))
     if args.format == "json":
         _print_json(
             {"repairs": [{key: diff, "tuples": tuples} for diff, tuples in entries]}

@@ -63,6 +63,13 @@ class DbTuple:
         vals = ",".join(v.render() for v in self.values)
         return f"{self.relation}({self.tid};{vals})"
 
+    def with_nulls(self, positions: Iterable[int]) -> "DbTuple":
+        """This tuple with each listed 1-based position replaced by null."""
+        values = list(self.values)
+        for j in positions:
+            values[j - 1] = NULL
+        return DbTuple(self.relation, self.tid, tuple(values), self.endogenous)
+
 
 @dataclass(frozen=True)
 class PositionRef:
@@ -208,19 +215,20 @@ class Instance:
 
         Tids are preserved: updates never create or destroy tuples.
         """
-        by_tid: Dict[int, List[PositionRef]] = {}
-        for ref in changes:
-            self.value_at(ref)  # validates tid, relation and position
-            by_tid.setdefault(ref.tid, []).append(ref)
         out = self._clone_schema()
         out._tuples = dict(self._tuples)
-        for tid, refs in by_tid.items():
-            tup = self._tuples[tid]
-            values = list(tup.values)
-            for ref in refs:
-                values[ref.position - 1] = NULL
-            out._tuples[tid] = DbTuple(tup.relation, tid, tuple(values), tup.endogenous)
+        for tup in self.nulled_tuples(changes):
+            out._tuples[tup.tid] = tup
         return out
+
+    def nulled_tuples(self, changes: Iterable[PositionRef]) -> List[DbTuple]:
+        """The tuples that `changes` touches, each with its referenced
+        positions replaced by null."""
+        by_tid: Dict[int, List[int]] = {}
+        for ref in changes:
+            self.value_at(ref)  # validates tid, relation and position
+            by_tid.setdefault(ref.tid, []).append(ref.position)
+        return [self._tuples[tid].with_nulls(ps) for tid, ps in by_tid.items()]
 
     # -- equality ----------------------------------------------------------
 

@@ -51,8 +51,6 @@ def diff_null(
 
 
 def attr_causes(instance: Instance, query: QuerySpec) -> List[AttrCauseReport]:
-    if not eval_bcq(instance, query):
-        return []
     best: Dict[PositionRef, int] = {}
     singleton: Set[PositionRef] = set()
     for delta in _repair_deltas(instance, query):
@@ -85,8 +83,6 @@ def tuple_null_causes(
     count as one: the change set's size drops by one per extra position of
     that tuple it nulls.
     """
-    if not eval_bcq(instance, query):
-        return []
     best: Dict[int, int] = {}
     witnesses: Dict[int, Set[PositionRef]] = {}
     for delta in _repair_deltas(instance, query):

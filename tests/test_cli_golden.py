@@ -35,6 +35,17 @@ CASES = {
     "responsibility_null_tuple": (
         "responsibility", "example6.cdl", "--semantics", "null", "--level", "tuple",
     ),
+    "check_tuple": (
+        "check", "example1.cdl", "--models", str(fixture_path("example1_models.txt")),
+    ),
+    "check_null": (
+        "check", "example6.cdl", "--semantics", "null",
+        "--models", str(fixture_path("example6_models.txt")),
+    ),
+    # one solver model for three repairs: two repairs stay unmatched, exit 1
+    "check_mismatch": (
+        "check", "example1.cdl", "--models", str(fixture_path("example1_models_best.txt")),
+    ),
     "eval_boolean": ("eval", "example1.cdl"),
     "eval_open": ("eval", "example_registrar.cdl", "--query", "Q2"),
     "eval_grounded": ("eval", "example_registrar.cdl", "--query", "Q2", "--answer", "zoe"),
@@ -47,6 +58,7 @@ def test_stdout_matches_golden(capsys, case, fmt):
     command, fixture, *flags = CASES[case]
     code = main([command, str(fixture_path(fixture)), *flags, "--format", fmt])
     captured = capsys.readouterr()
-    assert (code, captured.err) == (0, "")
+    assert (code, captured.err) == (1 if case == "check_mismatch" else 0, "")
     expected = fixture_path("cli") / f"{case}.{fmt}"
     assert captured.out == expected.read_text(encoding="utf-8")
+

@@ -1,6 +1,9 @@
 from fractions import Fraction
 
+import pytest
+
 from repcause import (
+    LangError,
     PositionRef,
     attr_causes,
     diff_null,
@@ -17,6 +20,13 @@ def by_position(reports):
 
 def by_tid(reports):
     return {r.tid: r for r in reports}
+
+
+@pytest.mark.parametrize("causes", [attr_causes, tuple_null_causes])
+def test_open_query_is_rejected(causes):
+    problem = parse_problem("S(a).\nq(X) :- S(X)?")
+    with pytest.raises(LangError, match="open"):
+        causes(problem.instance, problem.query("q"))
 
 
 class TestAttributeCauses:
@@ -80,6 +90,10 @@ class TestTupleLevelCauses:
         reports = by_tid(tuple_null_causes(problem.instance, problem.query("q")))
         assert reports[5].responsibility == Fraction(1)
         assert reports[2].responsibility == Fraction(1, 2)
+
+    def test_false_query_has_no_causes(self):
+        problem = parse_problem("S(a).\nR(b, a).\nq :- S(X), R(X, Y)?")
+        assert tuple_null_causes(problem.instance, problem.query("q")) == []
 
     def test_witness_positions_belong_to_the_tuple(self, load):
         problem = load("example6.cdl")

@@ -3,16 +3,25 @@
 The pruned, repair-based routes must agree exactly with the brute-force
 definitions on a large corpus of small random instances.
 """
+import dataclasses
+import io
 import itertools
+import json
+import os
 import random
+from contextlib import redirect_stdout
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repcause import (
+    PositionRef,
     actual_causes,
     actual_causes_under_ics,
+    c_repairs,
+    cardinality_null_repairs,
     causes_oracle,
     is_consistent,
     negate_query_to_dc,
@@ -20,8 +29,11 @@ from repcause import (
     null_repairs_oracle,
     parse_problem,
     s_repairs,
+    verify_model_correspondence,
     violations,
 )
+from repcause import cli
+from repcause.asp import CorrespondenceReport, parse_models
 from repcause.lang import (
     CrossTypeComparisonError,
     QuerySpec,
@@ -102,6 +114,17 @@ ID_MENU = [
 ICS_CONSTANTS = ["a", "b", "1"]
 
 
+def with_exogenous(problem, exogenous):
+    """`problem` with the tids in `exogenous` marked exogenous, which the
+    text format cannot express."""
+    instance = problem.instance._clone_schema()
+    for t in problem.instance.tuples():
+        instance.add_fact(
+            t.relation, t.values, tid=t.tid, endogenous=t.tid not in exogenous
+        )
+    return dataclasses.replace(problem, instance=instance)
+
+
 def ics_case(text, exogenous):
     """The instance of `text` with the premises its inclusion dependencies
     leave unwitnessed cascaded out, so that it satisfies them, and the tids
@@ -109,12 +132,8 @@ def ics_case(text, exogenous):
     dependencies."""
     problem = parse_problem(text)
     cascaded = _cascade_ids(problem.instance, problem.ids)
-    instance = cascaded._clone_schema()
-    for t in cascaded.tuples():
-        instance.add_fact(
-            t.relation, t.values, tid=t.tid, endogenous=t.tid not in exogenous
-        )
-    return instance, problem.query("q"), problem.ids
+    problem = with_exogenous(dataclasses.replace(problem, instance=cascaded), exogenous)
+    return problem.instance, problem.query("q"), problem.ids
 
 
 def test_causes_under_ics_match_counterfactual_search():
@@ -327,3 +346,213 @@ def test_order_comparison_raises_only_once_its_operands_match(s_fact, order_chec
             violations(problem.instance, problem.dcs)
     else:
         assert violations(problem.instance, problem.dcs) == []
+
+
+# `repairs` output and `check` matching, read from each record's removed or
+# delta, against references built from the repaired instance `r.repair`
+
+REPAIRS = {
+    ("tuple", "subset"): s_repairs,
+    ("tuple", "cardinality"): c_repairs,
+    ("null", "subset"): null_repairs,
+    ("null", "cardinality"): cardinality_null_repairs,
+}
+
+
+def cli_stdout(problem, command, *flags):
+    """The CLI's exit code and stdout on `problem`, handed over as parsed."""
+    out = io.StringIO()
+    with mock.patch.object(cli, "parse_problem", lambda text: problem):
+        with redirect_stdout(out):
+            code = cli.main([command, os.devnull, *flags])
+    return code, out.getvalue()
+
+
+def reference_repairs_stdout(records, semantics, fmt):
+    key = "removed" if semantics == "tuple" else "delta"
+    entries = []
+    for r in records:
+        if semantics == "tuple":
+            diff = sorted(r.removed)
+        else:
+            diff = [p.render() for p in sorted(r.delta, key=PositionRef.sort_key)]
+        entries.append((diff, [t.render() for t in r.repair.tuples()]))
+    if fmt == "json":
+        payload = {"repairs": [{key: d, "tuples": ts} for d, ts in entries]}
+        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return "".join(
+        f"repair {i}: {key} {{{', '.join(str(d) for d in diff)}}}\n"
+        f"  {{{', '.join(tuples)}}}\n"
+        for i, (diff, tuples) in enumerate(entries, start=1)
+    )
+
+
+def model_atom(t, mark):
+    values = "".join(f",{v.render()}" for v in t.values)
+    return f"{t.relation}_a({t.tid}{values},{mark})"
+
+
+def solver_models(instance, records, rng):
+    """Solver-style models of `records`: some dropped, duplicated or
+    corrupted, in shuffled order with shuffled atoms."""
+    models = []
+    for r in records:
+        kept = {t.tid: t for t in r.repair.tuples()}
+        models.append(
+            [
+                model_atom(kept[t.tid], "s") if t.tid in kept else model_atom(t, "d")
+                for t in instance.tuples()
+            ]
+        )
+    if models and rng.random() < 0.3:
+        models.pop(rng.randrange(len(models)))
+    for _ in range(rng.randint(0, 2) if models else 0):
+        models.append(list(rng.choice(models)))
+    originals = len(models)
+    for _ in range(rng.randint(0, 2) if models else 0):
+        corrupt = list(models[rng.randrange(originals)])
+        i = rng.randrange(len(corrupt))
+        if rng.random() < 0.5:
+            del corrupt[i]
+        else:  # one atom's first value replaced
+            parts = corrupt[i].split(",")
+            parts[1] = rng.choice(["null", "a", "zz", "7"])
+            corrupt[i] = ",".join(parts)
+        models.append(corrupt)
+    rng.shuffle(models)
+    for atoms in models:
+        rng.shuffle(atoms)
+    return "\n".join("{" + ", ".join(atoms) + "}" for atoms in models)
+
+
+def fact_values(args):
+    return parse_problem(f"P(1; {', '.join(args)}).").instance.get(1).values
+
+
+def reference_correspondence(instance, dcs, models_text, semantics):
+    """Each model, in order, takes the first unused repair whose instance's
+    (relation, tid, values) set equals the model's s-annotated atoms."""
+    fn = s_repairs if semantics == "tuple" else null_repairs
+    repair_keys = [
+        frozenset((t.relation, t.tid, t.values) for t in r.repair.tuples())
+        for r in fn(instance, dcs)
+    ]
+    report = CorrespondenceReport()
+    used = set()
+    for mi, atoms in enumerate(parse_models(models_text)):
+        # the values go through the problem parser, not the model reader
+        key = frozenset(
+            (a.predicate[:-2], int(a.args[0]), fact_values(a.args[1:-1]))
+            for a in atoms
+            if a.predicate.endswith("_a") and a.args[-1] == "s"
+        )
+        hit = next(
+            (ri for ri, rk in enumerate(repair_keys) if ri not in used and rk == key),
+            None,
+        )
+        if hit is None:
+            report.unmatched_models.append(mi)
+        else:
+            used.add(hit)
+            report.matches.append((mi, hit))
+    report.unmatched_repairs = [i for i in range(len(repair_keys)) if i not in used]
+    return report
+
+
+REPAIR_CONSTANTS = ["a", "1"]
+# joins on different columns of one tuple, so that one repair may null
+# several of its positions
+JOIN_MENU = [
+    "R(X, Y), S(X)",
+    "R(X, Y), S(Y)",
+    "T(X, Y, Z), S(X)",
+    "T(X, Y, Z), S(Z)",
+    "T(X, Y, Z), R(Y, W)",
+]
+
+
+def check_repairs_and_check(facts, dcs, exogenous, rng):
+    """Compare every `repairs` variant and `check` on both semantics with
+    the references; the problem, its null records and the `check` reports,
+    for the corpus floors."""
+    text = "\n".join(facts + [f":- {body}." for body in dcs])
+    case = f"{text}\nexogenous {sorted(exogenous)}"
+    problem = with_exogenous(parse_problem(text), exogenous)
+    reports = []
+    for (semantics, minimality), fn in REPAIRS.items():
+        records = fn(problem.instance, problem.dcs)
+        for fmt in ("text", "json"):
+            flags = ("--semantics", semantics, "--minimality", minimality, "--format", fmt)
+            expected = reference_repairs_stdout(records, semantics, fmt)
+            assert cli_stdout(problem, "repairs", *flags) == (0, expected), case
+        if minimality == "subset":
+            models = solver_models(problem.instance, records, rng)
+            report = verify_model_correspondence(
+                problem.instance, problem.dcs, models, semantics
+            )
+            assert report == reference_correspondence(
+                problem.instance, problem.dcs, models, semantics
+            ), f"{case}\n{models}"
+            reports.append(report)
+    return problem, null_repairs(problem.instance, problem.dcs), reports
+
+
+def test_repairs_output_and_check_match_instance_references():
+    rng = random.Random(SEED + 5)
+    multi_null = with_null = with_int = with_exo = 0
+    unmatched_models = unmatched_repairs = bijective = 0
+    for _ in range(300):
+        facts = random_facts(rng, max_tuples=6, allow_null=True, constants=REPAIR_CONSTANTS)
+        dcs = [
+            random_body(rng, max_atoms=2, constants=REPAIR_CONSTANTS)
+            for _ in range(rng.randint(0, 2))
+        ]
+        dcs += rng.sample(JOIN_MENU, rng.randint(0 if dcs else 1, 3))
+        exogenous = set()
+        if rng.random() < 0.3:
+            exogenous = set(rng.sample(range(1, 7), rng.randint(1, 3)))
+        problem, nulled, reports = check_repairs_and_check(facts, dcs, exogenous, rng)
+        unmatched_models += any(r.unmatched_models for r in reports)
+        unmatched_repairs += any(r.unmatched_repairs for r in reports)
+        bijective += any(r.ok and r.matches for r in reports)
+        changed = any(r.delta for r in nulled)
+        values = [v for t in problem.instance.tuples() for v in t.values]
+        multi_null += any(
+            len({p.position for p in r.delta if p.tid == tid}) >= 2
+            for r in nulled
+            for tid in {p.tid for p in r.delta}
+        )
+        with_null += changed and any(v.is_null() for v in values)
+        with_int += changed and any(v.kind == "integer" for v in values)
+        with_exo += changed and any(not t.endogenous for t in problem.instance.tuples())
+    # the corpus must reach each case that printing and keying treat apart
+    assert multi_null >= 15  # a repair nulls two positions of one tuple
+    assert with_null >= 40
+    assert with_int >= 80
+    assert with_exo >= 20
+    assert unmatched_models >= 200
+    assert unmatched_repairs >= 100
+    assert bijective >= 30
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(
+    facts=st.lists(atoms(["a", "1", "null"]), min_size=1, max_size=6),
+    bodies=st.lists(
+        st.lists(atoms(["a", "1", "X", "Y", "Z"]), min_size=1, max_size=2),
+        max_size=2,
+    ),
+    joins=st.lists(st.sampled_from(JOIN_MENU), max_size=3, unique=True),
+    exogenous=st.sets(st.integers(1, 6), max_size=3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_repairs_output_and_check_match_instance_references_property(
+    facts, bodies, joins, exogenous, seed
+):
+    lines = [
+        f"{rel}({tid}; {', '.join(values)})."
+        for tid, (rel, values) in enumerate(facts, start=1)
+    ]
+    dcs = [", ".join(f"{rel}({', '.join(terms)})" for rel, terms in body) for body in bodies]
+    dcs = (dcs + joins) or JOIN_MENU[:1]
+    check_repairs_and_check(lines, dcs, exogenous, random.Random(seed))
