@@ -1,6 +1,19 @@
 """Input language: facts, denial constraints, conjunctive queries and
 inclusion dependencies, plus their evaluation under null semantics.
 
+The text is read one statement at a time, by one of two routes. A
+statement that one regex match reads whole is a ground fact, and goes
+straight to `Instance.add_fact`. Every other statement is tokenized on its
+own, from its start through its first '.' or '?', and parsed by recursive
+descent: every rule, and every fact the regex leaves out (a comment inside
+it, a variable, a long integer, a missing '.'). That route reports every
+parse error but those of `add_fact`, which both routes report at the
+statement's name. Errors come in the order that tokenizing the whole text
+before parsing would give: a character that starts no token is reported
+first, wherever it stands, so one scan of the whole text looks for it before
+either route runs; then the faults of the statements in their order; then
+the checks of the parsed rules against the schema.
+
 The null semantics is enforced in one place: a repeated variable or an
 embedded constant is an equality, with the variable's first occurrence or
 with the constant, and every equality or built-in with a null operand is
@@ -195,6 +208,34 @@ _TOKEN_RE = re.compile(
     re.VERBOSE | re.DOTALL,
 )
 
+# The same alternatives, read as a check on the characters alone. Outside a
+# comment, a character of the class is valid wherever it stands: it starts
+# or continues a token of `_TOKEN_RE`. The other characters are valid only
+# at the start of a comment, "->", ":-", "!=" or a negative integer. So the
+# match ends at the first character that `_TOKEN_RE` reads as `bad`. A run
+# of the class is one repetition, so the match keeps a few repetitions on
+# the regex engine's stack, not one per token.
+_CHARACTERS_RE = re.compile(r"(?:[\s\dA-Za-z_();,.?<>=]+|%[^\n]*|->|:-|!=|-\d)*")
+
+# A whole ground fact, with the blank lines and comments before it. A
+# comment must run to its newline here, or backtracking could cut it short
+# and read its tail as a fact. An integer has at most 640 digits, the
+# smallest limit the interpreter may put on integer-string conversion, so
+# `int` never fails on a match. A longer literal fails this match, and the
+# token parser reads it, or reports it when `int` cannot convert it.
+_INT = r"-?\d{1,640}"
+_CONSTANT = rf"(?:{_INT}|[a-z_][A-Za-z0-9_]*)"
+_FACT_RE = re.compile(
+    rf"""
+    \s* (?: %[^\n]*\n \s* )*
+    (?P<name>[A-Za-z_][A-Za-z0-9_]*) \s* \( \s*
+    (?: (?P<tid>{_INT}) \s* ; \s* )?
+    (?P<values>{_CONSTANT} (?: \s* , \s* {_CONSTANT} )* )
+    \s* \) \s* \.
+    """,
+    re.VERBOSE,
+)
+
 
 class _Token(NamedTuple):
     kind: str
@@ -208,22 +249,38 @@ def _parse_error(text: str, message: str, offset: int) -> ParseError:
     return ParseError(message, line, offset - text.rfind("\n", 0, offset))
 
 
-def _tokenize(text: str) -> List[_Token]:
+def _statement_tokens(text: str, start: int) -> List[_Token]:
+    """The tokens from `start` through the first '.' or '?', or through the
+    end of the text, which an "eof" token closes.
+
+    The parser reads a '.' or '?' only as a statement's terminator, or
+    fails there, so the statement starting at `start` ends at this list's
+    last token."""
     tokens = []
-    for m in _TOKEN_RE.finditer(text):
+    for m in _TOKEN_RE.finditer(text, start):
         kind = m.lastgroup
         if kind == "bad":
             raise _parse_error(text, f"unexpected character {m.group()!r}", m.start())
         if kind != "ws" and kind != "comment":
-            tokens.append(_Token(kind, m.group(), m.start()))
+            tok = _Token(kind, m.group(), m.start())
+            tokens.append(tok)
+            if tok.text == "." or tok.text == "?":
+                return tokens
     tokens.append(_Token("eof", "", len(text)))
     return tokens
+
+
+def _fact_value(text: str) -> Constant:
+    """The constant of a value `_FACT_RE` matched."""
+    if text[0] == "_" or text[0].isalpha():
+        return sym(text)
+    return num(int(text))
 
 
 class _Parser:
     def __init__(self, text: str) -> None:
         self.text = text
-        self.tokens = _tokenize(text)
+        self.tokens: List[_Token] = []  # the current statement's
         self.pos = 0
 
     def peek(self, ahead: int = 0) -> _Token:
@@ -250,20 +307,43 @@ class _Parser:
     # -- statements --------------------------------------------------------
 
     def parse_problem(self) -> Problem:
+        text = self.text
+        end = _CHARACTERS_RE.match(text).end()
+        if end < len(text):
+            _statement_tokens(text, end)  # raises: no token starts at `end`
         instance = Instance()
         dcs: List[DenialConstraint] = []
         ids: List[InclusionDependency] = []
         query_parts: Dict[str, Tuple[Tuple[Var, ...], List[ConjunctiveBody]]] = {}
         query_order: List[str] = []
 
-        while self.peek().kind != "eof":
+        offset = 0
+        while True:
+            fact = _FACT_RE.match(text, offset)
+            if fact is not None:
+                values = [_fact_value(v.strip()) for v in fact["values"].split(",")]
+                tid = fact["tid"]
+                self._add_fact(
+                    instance,
+                    fact["name"],
+                    fact.start("name"),
+                    values,
+                    None if tid is None else int(tid),
+                )
+                offset = fact.end()
+                continue
+            self.tokens = _statement_tokens(text, offset)
+            self.pos = 0
             tok = self.peek()
+            if tok.kind == "eof":
+                break
             if tok.text == ":-":
                 dcs.append(self._parse_dc())
             elif tok.kind == "name":
                 self._parse_named_statement(instance, ids, query_parts, query_order)
             else:
                 self.fail(f"unexpected token {tok.text!r}")
+            offset = self.tokens[-1].offset + 1  # past the terminator
 
         queries = [
             QuerySpec(name, query_parts[name][0], tuple(query_parts[name][1]))
@@ -298,12 +378,12 @@ class _Parser:
         # general atom followed by "->"
         first = self.peek()
         if first.kind == "int" and self.peek(1).text == ";":
-            tid = int(self.next().text)
+            tid = self._integer(self.next())
             self.expect(";")
             values = self._parse_constant_list()
             self.expect(")")
             self.expect(".")
-            self._add_fact(instance, name_tok, values, tid)
+            self._add_fact(instance, name, name_tok.offset, values, tid)
             return
         terms = self._parse_term_list()
         self.expect(")")
@@ -312,7 +392,7 @@ class _Parser:
             values = [t for t in terms if isinstance(t, Constant)]
             if len(values) != len(terms):
                 raise self.error("facts must be ground", closer)
-            self._add_fact(instance, name_tok, values, None)
+            self._add_fact(instance, name, name_tok.offset, values, None)
         elif closer.text == ":-":
             head_vars = tuple(t for t in terms if isinstance(t, Var))
             if len(head_vars) != len(terms):
@@ -343,11 +423,11 @@ class _Parser:
             query_parts[name] = (tuple(head_vars), [body])
             query_order.append(name)
 
-    def _add_fact(self, instance: Instance, name_tok, values, tid) -> None:
+    def _add_fact(self, instance: Instance, name, offset, values, tid) -> None:
         try:
-            instance.add_fact(name_tok.text, values, tid=tid)
+            instance.add_fact(name, values, tid=tid)
         except ModelError as exc:
-            raise self.error(str(exc), name_tok)
+            raise _parse_error(self.text, str(exc), offset)
 
     # -- pieces ------------------------------------------------------------
 
@@ -403,7 +483,7 @@ class _Parser:
     def _parse_term(self) -> Term:
         tok = self.next()
         if tok.kind == "int":
-            return num(int(tok.text))
+            return num(self._integer(tok))
         if tok.kind == "name":
             if tok.text == "null":
                 return NULL
@@ -411,6 +491,13 @@ class _Parser:
                 return Var(tok.text)
             return sym(tok.text)
         raise self.error(f"expected a term, found {tok.text!r}", tok)
+
+    def _integer(self, tok: _Token) -> int:
+        try:
+            return int(tok.text)
+        except ValueError:  # more digits than the interpreter converts
+            message = f"integer literal too long ({len(tok.text.lstrip('-'))} digits)"
+            raise self.error(message, tok) from None
 
 
 def _check_body(body: ConjunctiveBody, instance: Instance) -> None:

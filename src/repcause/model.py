@@ -8,7 +8,16 @@ returns a fresh instance and never touches its input.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 
 class ModelError(ValueError):
@@ -71,9 +80,12 @@ class DbTuple:
         return DbTuple(self.relation, self.tid, tuple(values), self.endogenous)
 
 
-@dataclass(frozen=True)
-class PositionRef:
-    """A positioned value R[i;j]: attribute j of the tuple with tid i."""
+class PositionRef(NamedTuple):
+    """A positioned value R[i;j]: attribute j of the tuple with tid i.
+
+    A tuple, so hashing and equality run in C; its hash is
+    `hash((relation, tid, position))`, which sets the order in which a set
+    of refs iterates."""
 
     relation: str
     tid: int

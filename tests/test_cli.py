@@ -333,6 +333,20 @@ class TestExitCodes:
         assert code == 2
         assert "parse error" in err
 
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"),
+        reason="integer-string conversion has no limit before Python 3.11",
+    )
+    def test_over_long_integer_exits_two(self, capsys, tmp_path):
+        bad = tmp_path / "bad.cdl"
+        bad.write_text("R(1; a).\nR(2; " + "9" * 5000 + ").\n")
+        code, out, err = run(capsys, "repairs", bad)
+        assert (code, out) == (2, "")
+        assert err == (
+            "repcause: parse error: integer literal too long (5000 digits) "
+            "(line 2, column 6)\n"
+        )
+
     def test_malformed_inclusion_dependency_exits_two(self, capsys, tmp_path):
         bad = tmp_path / "bad.cdl"
         bad.write_text("R(1; a). S(2; b).\nR(X) -> S(X, c).\n")

@@ -1,3 +1,6 @@
+import sys
+import tracemalloc
+
 import pytest
 
 from repcause import (
@@ -17,6 +20,13 @@ from repcause import (
 from repcause.lang import CrossTypeComparisonError
 from repcause.model import NULL, PositionRef, num
 from repcause.null_repairs import _candidate_edges
+
+# more digits than the interpreter converts to an integer by default
+LONG_INTEGER = "9" * 5000
+needs_int_limit = pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"),
+    reason="integer-string conversion has no limit before Python 3.11",
+)
 
 
 class TestParsing:
@@ -102,6 +112,25 @@ class TestParsing:
                 3,
                 3,
             ),
+            # an unexpected character wins over an earlier fault
+            ("S(1; a).\nS(1; b).\n$", "unexpected character '$'", 3, 1),
+            # an over-long integer literal is reported at the literal
+            pytest.param(
+                f"R(1; {LONG_INTEGER}).",
+                "integer literal too long (5000 digits)",
+                1,
+                6,
+                marks=needs_int_limit,
+                id="over-long value",
+            ),
+            pytest.param(
+                f"R(-{LONG_INTEGER}; a).",
+                "integer literal too long (5000 digits)",
+                1,
+                3,
+                marks=needs_int_limit,
+                id="over-long tid",
+            ),
         ],
     )
     def test_parse_error_line_and_column(self, text, message, line, column):
@@ -123,6 +152,19 @@ class TestParsing:
     def test_rejects_malformed_input(self, text):
         with pytest.raises(ParseError):
             parse_problem(text)
+
+    def test_parse_memory_is_bounded_by_the_result(self):
+        # no token list for the whole text: the parse peaks near what the
+        # returned problem keeps
+        text = "".join(f"R({i}; a{i}, {i}).\n" for i in range(1, 20001))
+        tracemalloc.start()
+        try:
+            problem = parse_problem(text)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(problem.instance) == 20000
+        assert peak <= 1.5 * retained
 
     def test_render_round_trips(self):
         text = "R(1;a,b).\nS(2;b).\n:- R(X, Y), S(Y).\nq :- R(X, Y)?\n"
