@@ -81,12 +81,8 @@ def _fact_line(instance: Instance) -> List[str]:
     ]
 
 
-def _term_str(term) -> str:
-    return term.name if isinstance(term, Var) else term.render()
-
-
 def _atom_args(atom: BodyAtom) -> str:
-    return ",".join(_term_str(t) for t in atom.terms)
+    return ",".join(t.render() for t in atom.terms)
 
 
 def _dc_predicates(dcs: Sequence[DenialConstraint]) -> List[Tuple[str, int]]:
@@ -203,7 +199,7 @@ def emit_tuple_repair_program(
 def _nulled_args(atom: BodyAtom, position: int) -> str:
     parts = []
     for j, t in enumerate(atom.terms, start=1):
-        parts.append("null" if j == position else _term_str(t))
+        parts.append("null" if j == position else t.render())
     return ",".join(parts)
 
 

@@ -35,6 +35,7 @@ from functools import cached_property
 from operator import itemgetter
 from typing import (
     Dict,
+    FrozenSet,
     Iterator,
     List,
     NamedTuple,
@@ -86,7 +87,7 @@ class BodyAtom:
     terms: Tuple[Term, ...]
 
     def render(self) -> str:
-        return f"{self.relation}({', '.join(_render_term(t) for t in self.terms)})"
+        return f"{self.relation}({', '.join(t.render() for t in self.terms)})"
 
     def variables(self) -> List[Var]:
         return [t for t in self.terms if isinstance(t, Var)]
@@ -99,7 +100,7 @@ class BuiltinAtom:
     right: Term
 
     def render(self) -> str:
-        return f"{_render_term(self.left)} {self.op} {_render_term(self.right)}"
+        return f"{self.left.render()} {self.op} {self.right.render()}"
 
     def variables(self) -> List[Var]:
         return [t for t in (self.left, self.right) if isinstance(t, Var)]
@@ -118,14 +119,6 @@ class ConjunctiveBody:
     def _plan(self) -> "_Plan":
         """The matching plan of `_match_body`, built once per body."""
         return _build_plan(self)
-
-    def variables(self) -> Set[Var]:
-        out: Set[Var] = set()
-        for a in self.atoms:
-            out.update(a.variables())
-        for b in self.builtins:
-            out.update(b.variables())
-        return out
 
 
 @dataclass(frozen=True)
@@ -184,10 +177,6 @@ class Problem:
             if q.name == name:
                 return q
         raise LangError(f"unknown query {name!r}")
-
-
-def _render_term(t: Term) -> str:
-    return t.name if isinstance(t, Var) else t.render()
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +304,6 @@ class _Parser:
         dcs: List[DenialConstraint] = []
         ids: List[InclusionDependency] = []
         query_parts: Dict[str, Tuple[Tuple[Var, ...], List[ConjunctiveBody]]] = {}
-        query_order: List[str] = []
 
         offset = 0
         while True:
@@ -340,14 +328,14 @@ class _Parser:
             if tok.text == ":-":
                 dcs.append(self._parse_dc())
             elif tok.kind == "name":
-                self._parse_named_statement(instance, ids, query_parts, query_order)
+                self._parse_named_statement(instance, ids, query_parts)
             else:
                 self.fail(f"unexpected token {tok.text!r}")
             offset = self.tokens[-1].offset + 1  # past the terminator
 
         queries = [
-            QuerySpec(name, query_parts[name][0], tuple(query_parts[name][1]))
-            for name in query_order
+            QuerySpec(name, head_vars, tuple(bodies))
+            for name, (head_vars, bodies) in query_parts.items()
         ]
         for q in queries:
             _check_query(q, instance)
@@ -363,14 +351,14 @@ class _Parser:
         self.expect(".")
         return DenialConstraint(body)
 
-    def _parse_named_statement(self, instance, ids, query_parts, query_order) -> None:
+    def _parse_named_statement(self, instance, ids, query_parts) -> None:
         name_tok = self.next()
         name = name_tok.text
         if self.peek().text == ":-":  # Boolean query head without parentheses
             self.next()
             body = self._parse_body()
             self.expect("?")
-            self._record_query(name_tok, (), body, query_parts, query_order)
+            self._record_query(name_tok, (), body, query_parts)
             return
         self.expect("(")
         # disambiguate: a fact holds only constants (with an optional leading
@@ -399,7 +387,7 @@ class _Parser:
                 raise self.error("query head must hold variables only", closer)
             body = self._parse_body()
             self.expect("?")
-            self._record_query(name_tok, head_vars, body, query_parts, query_order)
+            self._record_query(name_tok, head_vars, body, query_parts)
         elif closer.text == "->":
             conclusion = self._parse_atom()
             self.expect(".")
@@ -411,7 +399,7 @@ class _Parser:
 
     # an error about a whole statement points at the statement's name token
 
-    def _record_query(self, name_tok, head_vars, body, query_parts, query_order):
+    def _record_query(self, name_tok, head_vars, body, query_parts):
         name = name_tok.text
         if name in query_parts:
             known_head, bodies = query_parts[name]
@@ -421,7 +409,6 @@ class _Parser:
             bodies.append(body)
         else:
             query_parts[name] = (tuple(head_vars), [body])
-            query_order.append(name)
 
     def _add_fact(self, instance: Instance, name, offset, values, tid) -> None:
         try:
@@ -815,20 +802,22 @@ def is_consistent(instance: Instance, dcs: Sequence[DenialConstraint]) -> bool:
     return True
 
 
-def unsupported_premises(
+def id_witnesses(
     instance: Instance, ids: Sequence[InclusionDependency]
-) -> Set[int]:
-    """Tids of premise tuples with no witnessing conclusion tuple.
+) -> Dict[int, List[FrozenSet[int]]]:
+    """For each premise tuple, one set per dependency on its relation, in
+    the order given: the tids of the conclusion tuples that witness it. The
+    tuple is unwitnessed in D ∖ X exactly when one of its sets lies in X.
 
     Each dependency is a semijoin: a premise tuple's values at the shared
-    variables are looked up in the set of conclusion values there. Both
-    atoms hold distinct variables only; the parser rejects other shapes.
+    variables are looked up among the conclusion values there. Both atoms
+    hold distinct variables only; the parser rejects other shapes.
 
     A shared variable must match through equal non-null values: null never
-    witnesses a join, so a premise holding null at a shared position counts
-    as unsupported.
+    witnesses a join, so a premise holding null at a shared position has no
+    witness.
     """
-    bad: Set[int] = set()
+    witnesses: Dict[int, List[FrozenSet[int]]] = {}
     for dep in ids:
         for atom in (dep.premise, dep.conclusion):
             tuples = instance.tuples_of(atom.relation)
@@ -839,17 +828,26 @@ def unsupported_premises(
         shared = sorted(dep.shared_vars(), key=lambda v: v.name)
         prem_at = [dep.premise.terms.index(v) for v in shared]
         concl_at = [dep.conclusion.terms.index(v) for v in shared]
-        # a conclusion key holding null never matches: premise keys holding
-        # null are rejected before the lookup
-        keys = {
-            tuple(t.values[j] for j in concl_at)
-            for t in instance.tuples_of(dep.conclusion.relation)
-        }
+        # a conclusion key holding null is left out, so a premise key
+        # holding null finds no witness
+        by_key: Dict[Tuple[Constant, ...], List[int]] = {}
+        for t in instance.tuples_of(dep.conclusion.relation):
+            key = tuple(t.values[j] for j in concl_at)
+            if not any(v.is_null() for v in key):
+                by_key.setdefault(key, []).append(t.tid)
+        found = {key: frozenset(tids) for key, tids in by_key.items()}
         for tup in instance.tuples_of(dep.premise.relation):
             key = tuple(tup.values[j] for j in prem_at)
-            if any(v.is_null() for v in key) or key not in keys:
-                bad.add(tup.tid)
-    return bad
+            witnesses.setdefault(tup.tid, []).append(found.get(key, frozenset()))
+    return witnesses
+
+
+def unsupported_premises(
+    instance: Instance, ids: Sequence[InclusionDependency]
+) -> Set[int]:
+    """Tids of premise tuples with no witnessing conclusion tuple for some
+    dependency."""
+    return {tid for tid, sets in id_witnesses(instance, ids).items() if not all(sets)}
 
 
 def satisfies_ids(instance: Instance, ids: Sequence[InclusionDependency]) -> bool:

@@ -52,19 +52,16 @@ def diff_null(
 
 def attr_causes(instance: Instance, query: QuerySpec) -> List[AttrCauseReport]:
     best: Dict[PositionRef, int] = {}
-    singleton: Set[PositionRef] = set()
     for delta in _repair_deltas(instance, query):
         for ref in delta:
             size = len(delta)
             if ref not in best or size < best[ref]:
                 best[ref] = size
-            if size == 1:
-                singleton.add(ref)
     reports = [
         AttrCauseReport(
             position=ref,
             original_value=instance.value_at(ref),
-            counterfactual=ref in singleton,
+            counterfactual=size == 1,
             responsibility=Fraction(1, size),
         )
         for ref, size in best.items()

@@ -9,11 +9,15 @@ satisfy them. Both cases are read off the minimal transversals M of the
 query's match hypergraph, i.e. the removed sets of the S-repairs of ¬Q,
 restricted to endogenous tuples.
 
-Write cl(X) for X plus the tuples that cascading the unwitnessed premises
-out of D∖X deletes, so D∖cl(X) satisfies the INDs; X is closed when
-cl(X) = X, i.e. when D∖X satisfies them. cl is monotone, and closed sets are
-closed under intersection, because a union of subinstances that satisfy an
-IND satisfies it too.
+Everything below is on tid sets. For each premise tuple p and each IND on
+its relation, let W be the tids of p's witnessing conclusion tuples in D
+(`lang.id_witnesses`); p is unwitnessed in D∖X when p ∉ X and some W ⊆ X.
+Write cl(X) for the least superset of X with no unwitnessed premise, i.e.
+X plus the premises that cascading them out of D∖X deletes
+(`tuple_repairs.ids_closure`), so D∖cl(X) satisfies the INDs; X is closed
+when cl(X) = X, i.e. when D∖X satisfies them. cl is monotone, and closed
+sets are closed under intersection, because a union of subinstances that
+satisfy an IND satisfies it too.
 
 Lemma: every ⊆-minimal contingency set Γ of τ equals cl(M)∖{τ} for some
 minimal transversal M ∋ τ. Proof: S = Γ∪{τ} is closed, because D∖S satisfies
@@ -25,9 +29,15 @@ queries are positive, and D∖(Γ'∪{τ}) = D∖cl(M) satisfies the INDs and
 fails Q, since cl(M) ⊇ M. So Γ' ⊆ Γ is a contingency set, and Γ = Γ' by
 minimality. ∎
 
-So the candidates for τ are the sets cl(M)∖{τ} with τ ∈ M and cl(M)
+So the candidates for τ are the sets Γ = cl(M)∖{τ} with τ ∈ M and cl(M)
 endogenous. Each one whose D∖Γ satisfies the INDs and Q is a contingency
 set, and the ⊆-minimal ones per τ are exactly τ's minimal contingency sets.
+Both tests are read off tid sets, with no instance built. Γ is closed
+exactly when τ has no W ⊆ Γ: a premise outside cl(M) has no W inside the
+closed cl(M) ⊇ Γ, so τ is the only premise Γ can leave unwitnessed. Q
+holds on D∖Γ exactly when some match of Q in D avoids Γ, since queries are
+positive.
+
 With no INDs, cl(M) = M: each M∖{τ} misses some match, since M is minimal,
 and no two of them are comparable, so the causes are read off the repairs
 directly. The brute-force counterfactual search, `causes_oracle`, is the
@@ -43,14 +53,16 @@ from .lang import (
     InclusionDependency,
     QuerySpec,
     eval_bcq,
+    id_witnesses,
     negate_query_to_dc,
     satisfies_ids,
 )
 from .model import Instance
 from .tuple_repairs import (
+    conflict_hypergraph,
     ids_closure,
+    minimal_hitting_sets,
     minimal_subsets,
-    s_repairs,
     subset_minimal,
 )
 
@@ -94,27 +106,27 @@ def _transversal_gammas(
     instance: Instance, query: QuerySpec, ids: Sequence[InclusionDependency]
 ) -> Dict[int, Set[FrozenSet[int]]]:
     """The ⊆-minimal contingency sets of every endogenous tid: for each
-    minimal transversal M ∋ τ of the query's matches, the candidate
-    cl(M)∖{τ} (see the module docstring). With no dependencies cl(M) = M and
-    every candidate is minimal, so the closure, the test of D∖Γ and the
-    minimality filter are skipped."""
+    minimal transversal M ∋ τ of the query's matches over the endogenous
+    tids, the candidate Γ = cl(M)∖{τ}, kept when cl(M) is endogenous, Γ is
+    closed and some match avoids Γ (see the module docstring). With no
+    dependencies cl(M) = M and every candidate is minimal and kept, so the
+    closure, the tests and the minimality filter are skipped."""
     endo = set(instance.endogenous_tids())
-    dcs = negate_query_to_dc(query)
+    matches = conflict_hypergraph(instance, negate_query_to_dc(query)).edges
+    witnesses = id_witnesses(instance, ids)
     gammas: Dict[int, Set[FrozenSet[int]]] = {}
-    for rec in s_repairs(instance, dcs, endogenous_only=True):
-        closed = rec.removed
-        if ids:
-            closed = ids_closure(instance, rec.removed, ids)
-            if not closed <= endo:
-                continue
-        for tid in rec.removed:
+    for m in minimal_hitting_sets(matches, allowed=endo):
+        closed = ids_closure(witnesses, m) if ids else m
+        if not closed <= endo:
+            continue
+        for tid in m:
             gamma = closed - {tid}
-            if ids:
-                # D∖(Γ∪{τ}) = D∖cl(M) satisfies the dependencies and fails
-                # the query by construction; D∖Γ is the half left to test
-                contingent = instance.delete_tuples(gamma)
-                if not (satisfies_ids(contingent, ids) and eval_bcq(contingent, query)):
-                    continue
+            # cl(M) is closed, so only τ can be a premise that Γ unwitnesses
+            if ids and (
+                any(s <= gamma for s in witnesses.get(tid, ()))
+                or all(match & gamma for match in matches)
+            ):
+                continue
             gammas.setdefault(tid, set()).add(gamma)
     if ids:
         gammas = {tid: subset_minimal(sets) for tid, sets in gammas.items()}
@@ -156,9 +168,10 @@ def actual_causes_under_ics(
     query's matches, where cl(M) adds what cascading the unwitnessed
     premises out of D∖M deletes (lemma and proof in the module docstring).
     So the candidates come from the same transversals as `actual_causes`:
-    one closure per M, one test of D∖Γ per τ ∈ M, then the ⊆-minimal
-    candidates per τ. The caps are those of `actual_causes`. Raises
-    `ValueError` when the instance itself violates the dependencies.
+    one closure per M on tid sets, one closedness and one query test per
+    τ ∈ M, then the ⊆-minimal candidates per τ. The caps are those of
+    `actual_causes`. Raises `ValueError` when the instance itself violates
+    the dependencies.
     """
     if not satisfies_ids(instance, ids):
         raise ValueError("instance violates the hard inclusion dependencies")

@@ -5,8 +5,8 @@ hitting sets (transversals) of the conflict hypergraph, whose hyperedges are
 the tid-sets of constraint violations. `minimal_hitting_sets` enumerates
 them with Berge's edge-by-edge algorithm, which the null-update repairs
 share. Cardinality-minimal repairs are the hitting sets of minimum size.
-Hard inclusion dependencies are handled by cascading deletions of
-unwitnessed premise tuples.
+Hard inclusion dependencies close a removed set under the deletions of the
+premise tuples it leaves unwitnessed, on tid sets.
 """
 from __future__ import annotations
 
@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import (
     Callable,
+    Dict,
     FrozenSet,
     Iterable,
     Iterator,
@@ -28,7 +29,7 @@ from .lang import (
     DenialConstraint,
     InclusionDependency,
     LangError,
-    unsupported_premises,
+    id_witnesses,
     violations,
 )
 from .model import Instance
@@ -119,22 +120,12 @@ class RepairRecord:
 
 
 def s_repairs(
-    instance: Instance,
-    dcs: Sequence[DenialConstraint],
-    endogenous_only: bool = False,
+    instance: Instance, dcs: Sequence[DenialConstraint]
 ) -> List[RepairRecord]:
     """All subset-maximal consistent subinstances, by (size, sorted members)
-    of their removed sets.
-
-    With `endogenous_only`, removed-sets avoid exogenous tuples; a violation
-    made entirely of exogenous tuples then admits no repair.
-    """
+    of their removed sets."""
     graph = conflict_hypergraph(instance, dcs)
-    allowed = set(instance.endogenous_tids()) if endogenous_only else None
-    return [
-        RepairRecord(instance, h)
-        for h in minimal_hitting_sets(graph.edges, allowed=allowed)
-    ]
+    return [RepairRecord(instance, h) for h in minimal_hitting_sets(graph.edges)]
 
 
 def c_repairs(
@@ -167,26 +158,24 @@ def subset_minimal(sets: Set[FrozenSet[int]]) -> Set[FrozenSet[int]]:
     return {s for s in sets if not any(other < s for other in sets)}
 
 
-def _cascade_ids(
-    instance: Instance, ids: Sequence[InclusionDependency]
-) -> Instance:
-    """Delete premise tuples with no conclusion witness, to a fixpoint."""
-    current = instance
-    while True:
-        bad = unsupported_premises(current, ids)
-        if not bad:
-            return current
-        current = current.delete_tuples(bad)
-
-
 def ids_closure(
-    instance: Instance, removed: FrozenSet[int], ids: Sequence[InclusionDependency]
+    witnesses: Dict[int, List[FrozenSet[int]]], removed: FrozenSet[int]
 ) -> FrozenSet[int]:
-    """cl(removed): the tids gone once `removed` is deleted and the
-    unwitnessed premises are cascaded out, so that
-    D ∖ cl(removed) = _cascade_ids(D ∖ removed)."""
-    settled = _cascade_ids(instance.delete_tuples(removed), ids)
-    return frozenset(instance.tids()).difference(settled.tids())
+    """cl(removed): `removed` plus, to a fixpoint, every premise tuple one of
+    whose witness sets the deletions so far cover, where `witnesses` is
+    `id_witnesses(D, ids)`. So D ∖ cl(removed) is what cascading the
+    unwitnessed premises out of D ∖ removed leaves, and a set X is closed
+    (D ∖ X satisfies the dependencies) exactly when cl(X) = X."""
+    closed = set(removed)
+    while True:
+        gone = [
+            tid
+            for tid, sets in witnesses.items()
+            if tid not in closed and any(s <= closed for s in sets)
+        ]
+        if not gone:
+            return frozenset(closed)
+        closed.update(gone)
 
 
 def s_repairs_under_hard_ics(
@@ -198,15 +187,13 @@ def s_repairs_under_hard_ics(
     dependencies, deletion-only.
 
     Every such D' is contained in some DC-only repair, and deleting tuples
-    never introduces a DC violation, so cascading the unwitnessed premises
-    out of each DC-only repair reaches every candidate; a maximality filter
-    finishes the job.
+    never introduces a DC violation, so closing the removed set of each
+    DC-only repair under the dependencies (`ids_closure`) reaches every
+    candidate; a maximality filter finishes the job.
     """
     if not ids:
         return s_repairs(instance, dcs)
-    candidates = {
-        ids_closure(instance, rec.removed, ids) for rec in s_repairs(instance, dcs)
-    }
+    witnesses = id_witnesses(instance, ids)
+    candidates = {ids_closure(witnesses, rec.removed) for rec in s_repairs(instance, dcs)}
     removed_sets = sorted(subset_minimal(candidates), key=lambda r: (len(r), sorted(r)))
     return [RepairRecord(instance, r) for r in removed_sets]
-

@@ -29,6 +29,8 @@ from repcause import (
     null_repairs_oracle,
     parse_problem,
     s_repairs,
+    s_repairs_under_hard_ics,
+    satisfies_ids,
     verify_model_correspondence,
     violations,
 )
@@ -41,8 +43,9 @@ from repcause.lang import (
     _match_body,
     eval_builtin,
     eval_open,
+    unsupported_premises,
 )
-from repcause.tuple_repairs import _cascade_ids
+from repcause.tuple_repairs import minimal_subsets
 
 SEED = 20260823
 RELATIONS = [("S", 1), ("R", 2), ("T", 3)]
@@ -131,7 +134,12 @@ def ics_case(text, exogenous):
     in `exogenous` marked exogenous; with the query `q` and the
     dependencies."""
     problem = parse_problem(text)
-    cascaded = _cascade_ids(problem.instance, problem.ids)
+    cascaded = problem.instance
+    while True:  # on instances, apart from the production closure on tid sets
+        bad = unsupported_premises(cascaded, problem.ids)
+        if not bad:
+            break
+        cascaded = cascaded.delete_tuples(bad)
     problem = with_exogenous(dataclasses.replace(problem, instance=cascaded), exogenous)
     return problem.instance, problem.query("q"), problem.ids
 
@@ -193,6 +201,55 @@ def test_causes_under_ics_match_counterfactual_search_property(
     assert actual_causes_under_ics(instance, query, deps) == causes_oracle(
         instance, query, deps
     )
+
+
+def hard_ics_repairs_agree(text):
+    """`s_repairs_under_hard_ics` on `text`, checked against the minimal X
+    whose D∖X, built as an instance, satisfies both the DCs and the
+    dependencies; returns whether some repair deletes a tuple."""
+    problem = parse_problem(text)
+    instance, dcs, ids = problem.instance, problem.dcs, problem.ids
+
+    def is_repair(removed):
+        rest = instance.delete_tuples(removed)
+        return is_consistent(rest, dcs) and satisfies_ids(rest, ids)
+
+    expected = list(minimal_subsets(sorted(instance.tids()), is_repair))
+    records = s_repairs_under_hard_ics(instance, dcs, ids)
+    assert [r.removed for r in records] == expected, text
+    return any(expected)
+
+
+def test_repairs_under_hard_ics_match_exhaustive_search():
+    rng = random.Random(SEED + 5)
+    nonempty = 0
+    for _ in range(1500):
+        # not cascaded first: the instance may itself violate the dependencies
+        lines = random_facts(rng, max_tuples=8, constants=ICS_CONSTANTS)
+        lines += rng.sample(ID_MENU, rng.randint(1, 3))
+        for _ in range(rng.randint(1, 2)):
+            lines.append(f":- {random_body(rng, constants=ICS_CONSTANTS)}.")
+        nonempty += hard_ics_repairs_agree("\n".join(lines))
+    assert nonempty >= 1000
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(
+    facts=st.lists(atoms("ab"), max_size=8),
+    ids=st.lists(st.sampled_from(ID_MENU), min_size=1, max_size=3, unique=True),
+    bodies=st.lists(
+        st.lists(atoms("aXYZ"), min_size=1, max_size=3), min_size=1, max_size=2
+    ),
+)
+def test_repairs_under_hard_ics_match_exhaustive_search_property(facts, ids, bodies):
+    lines = [
+        f"{rel}({tid}; {', '.join(values)})."
+        for tid, (rel, values) in enumerate(facts, start=1)
+    ]
+    for body in bodies:
+        conjuncts = ", ".join(f"{rel}({', '.join(terms)})" for rel, terms in body)
+        lines.append(f":- {conjuncts}.")
+    hard_ics_repairs_agree("\n".join(lines + ids))
 
 
 def test_pruned_null_repairs_match_exhaustive_search():

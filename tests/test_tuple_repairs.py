@@ -168,17 +168,6 @@ class TestSRepairs:
         assert removed_sets(records) == [set()]
         assert records[0].repair == problem.instance
 
-    def test_endogenous_only_avoids_exogenous_tuples(self, load):
-        problem = load("example1.cdl")
-        dcs = negate_query_to_dc(problem.query("q"))
-        inst = problem.instance._clone_schema()
-        for t in problem.instance.tuples():
-            inst.add_fact(t.relation, t.values, tid=t.tid, endogenous=t.tid != 3)
-        records = s_repairs(inst, dcs, endogenous_only=True)
-        assert all(3 not in r.removed for r in records)
-        # the conflict {3,6} can now only be resolved through tuple 6
-        assert removed_sets(records) == [{6}]
-
 
 class TestCRepairs:
     def test_minimum_size_selection(self, load):
