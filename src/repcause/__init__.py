@@ -14,7 +14,6 @@ from .model import (
     Instance,
     ModelError,
     PositionRef,
-    delta_null,
     num,
     sym,
 )
@@ -30,7 +29,6 @@ from .lang import (
     is_consistent,
     negate_query_to_dc,
     parse_problem,
-    render_problem,
     satisfies_ids,
     substitute_answer,
     violations,
@@ -49,25 +47,22 @@ from .tuple_causes import (
     TupleCauseReport,
     actual_causes,
     actual_causes_under_ics,
-    causes_oracle,
     most_responsible_causes,
 )
 from .null_repairs import (
     NullRepairRecord,
     cardinality_null_repairs,
     null_repairs,
-    null_repairs_oracle,
 )
 from .null_causes import (
     AttrCauseReport,
     TupleNullCauseReport,
     attr_causes,
     diff_null,
-    is_actual_attr_cause,
-    is_counterfactual_attr_cause,
     tuple_null_causes,
 )
 from .asp import (
+    CanonicalFormError,
     EmitOptions,
     ProgramText,
     canonical_program,
@@ -75,6 +70,11 @@ from .asp import (
     emit_tuple_repair_program,
     programs_equivalent,
     verify_model_correspondence,
+)
+from .oracles import (
+    causes_oracle,
+    is_actual_attr_cause,
+    null_repairs_oracle,
 )
 
 __version__ = "0.1.0"

@@ -11,14 +11,14 @@ stable models against the engine's repairs.
 
 Program equality for golden tests goes through `canonical_program`, which is
 insensitive to whitespace, statement order, body-literal and head-disjunct
-order, and variable naming.
+order, and variable naming. It is exact, and it raises `CanonicalFormError`
+when ordering a statement's look-alike literals passes a fixed budget.
 """
 from __future__ import annotations
 
 import re
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
-from itertools import permutations
 from typing import Deque, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .lang import BodyAtom, DenialConstraint, Var, candidate_slots
@@ -293,15 +293,9 @@ _TOKEN = re.compile(
     r"#?[A-Za-z_][A-Za-z0-9_]*|\d+|:-|:~|!=|<=|>=|[(){}\[\],=<>+;:]|\S"
 )
 
-_MAX_PERMUTED = 8
-
 
 def _strip_comments(text: str) -> str:
     return "\n".join(line.split("%", 1)[0] for line in text.splitlines())
-
-
-def _tokenize_stmt(stmt: str) -> List[str]:
-    return _TOKEN.findall(stmt)
 
 
 def _split_top(tokens: List[str], sep: str) -> List[List[str]]:
@@ -319,32 +313,93 @@ def _split_top(tokens: List[str], sep: str) -> List[List[str]]:
     return [p for p in parts if p]
 
 
-def _is_variable(tok: str, nxt: Optional[str]) -> bool:
-    return bool(re.match(r"[A-Z]", tok)) and nxt != "("
+# A statement part as its tokens, each flagged when it is a variable
+_Part = Tuple[Tuple[str, bool], ...]
+
+# renderings `_least_order` may spend on one statement's literal ties
+_TIE_BUDGET = 100_000
 
 
-def _render_normalized(groups: List[List[str]], joiners: List[str]) -> str:
-    """Join token groups with the given separators, renaming variables in
-    first-appearance order."""
-    mapping: Dict[str, str] = {}
+class CanonicalFormError(ValueError):
+    """A statement's literal ties need more than `_TIE_BUDGET` renderings
+    to resolve, so its canonical form is not computed."""
+
+
+def _flag_variables(tokens: List[str]) -> _Part:
+    """Pair each token with whether it is a variable: a name that starts
+    with an upper-case letter and is not followed by `(`."""
+    nexts = tokens[1:] + [""]
+    return tuple(
+        (tok, "A" <= tok[0] <= "Z" and nxt != "(") for tok, nxt in zip(tokens, nexts)
+    )
+
+
+def _render_part(part: _Part, labels: Dict[str, str]) -> Tuple[str, Dict[str, str]]:
+    """The part with each variable replaced by its label, and the labels of
+    the variables `labels` lacks: `V<n>`, numbered on after those of
+    `labels` in order of first appearance. The numbers have three digits
+    at least, so up to `V999` the labels compare as their numbers do."""
+    fresh: Dict[str, str] = {}
+    out = []
+    for tok, is_var in part:
+        if is_var:
+            tok = labels.get(tok) or fresh.setdefault(
+                tok, f"V{len(labels) + len(fresh) + 1:03d}"
+            )
+        out.append(tok)
+    return " ".join(out), fresh
+
+
+def _least_order(
+    parts: List[_Part], labels: Dict[str, str], budget: Optional[List[int]] = None
+) -> List[str]:
+    """The least list of the parts' renderings over every order of the
+    parts, each part rendered under the labels the parts before it gave.
+
+    Its first entry is the least rendering of a part, so only the parts
+    that render to it, the ties, can come first. Each tie is tried in turn
+    with the rest searched after it, except that two ties lead to the same
+    rest, up to swapping them, when they are identical or when their fresh
+    variables occur in no other part; one of those is tried. From the first
+    such branch on, `budget[0]` counts down the renderings left, and
+    `CanonicalFormError` is raised when it runs out.
+    """
     out: List[str] = []
-    for gi, group in enumerate(groups):
-        if gi:
-            out.append(joiners[gi - 1])
-        for k, tok in enumerate(group):
-            nxt = group[k + 1] if k + 1 < len(group) else None
-            if _is_variable(tok, nxt):
-                if tok not in mapping:
-                    mapping[tok] = f"V{len(mapping) + 1}"
-                out.append(mapping[tok])
-            else:
-                out.append(tok)
-    return " ".join(out)
+    while parts:
+        if budget is not None:
+            budget[0] -= len(parts)
+            if budget[0] < 0:
+                raise CanonicalFormError(
+                    f"literal ties need more than {_TIE_BUDGET} renderings to order"
+                )
+        rendered = [_render_part(p, labels) for p in parts]
+        least = min(text for text, _ in rendered)
+        out.append(least)
+        occurs = Counter(v for p in parts for v in {t for t, is_var in p if is_var})
+        ties: Dict[Optional[_Part], int] = {}
+        for i, (text, fresh) in enumerate(rendered):
+            if text == least:
+                private = all(occurs[v] == 1 for v in fresh)
+                ties.setdefault(None if private else parts[i], i)
+        branches = [
+            (parts[:i] + parts[i + 1 :], {**labels, **rendered[i][1]})
+            for i in ties.values()
+        ]
+        if len(branches) > 1:
+            budget = [_TIE_BUDGET] if budget is None else budget
+            return out + min(_least_order(p, l, budget) for p, l in branches)
+        parts, labels = branches[0]
+    return out
 
 
 def _canonical_statement(tokens: List[str]) -> str:
-    sep = None
-    sep_index = None
+    """The statement's parts in the order `_least_order` picks, with its
+    variables renamed `V001`, `V002`, ... in order of first appearance. The
+    parts of a rule are its head disjuncts and its body literals, each
+    literal led by the `:-` or `:~` token; any other statement is one part.
+    Two statements get the same form exactly when they are equal up to the
+    order of those parts and a renaming of their variables."""
+    parts = [tokens]
     depth = 0
     for idx, tok in enumerate(tokens):
         if tok in "({[":
@@ -352,56 +407,24 @@ def _canonical_statement(tokens: List[str]) -> str:
         elif tok in ")}]":
             depth -= 1
         elif tok in (":-", ":~") and depth == 0:
-            sep, sep_index = tok, idx
+            body = _split_top(tokens[idx + 1 :], ",")
+            parts = _split_top(tokens[:idx], "v") + [[tok] + p for p in body]
             break
-    if sep is None:
-        return _render_normalized([tokens], [])
-    head = tokens[:sep_index]
-    body = tokens[sep_index + 1 :]
-    head_parts = _split_top(head, "v") if head else []
-    body_parts = _split_top(body, ",")
-
-    def perms(parts: List[List[str]]):
-        if len(parts) <= 1 or len(parts) > _MAX_PERMUTED:
-            return [parts]
-        return [list(p) for p in permutations(parts)]
-
-    best = None
-    for hp in perms(head_parts):
-        for bp in perms(body_parts):
-            groups = hp + [[sep]] + bp
-            # between head parts "v", around the separator a bar, between
-            # body parts ","
-            joins: List[str] = []
-            for gi in range(1, len(groups)):
-                prev_is_sep = groups[gi - 1] == [sep]
-                cur_is_sep = groups[gi] == [sep]
-                if prev_is_sep or cur_is_sep:
-                    joins.append("|")
-                elif gi <= len(hp) - 1:
-                    joins.append("v")
-                else:
-                    joins.append(",")
-            rendered = _render_normalized(groups, joins)
-            if best is None or rendered < best:
-                best = rendered
-    assert best is not None
-    return best
+    flagged = [_flag_variables(p) for p in parts]
+    return " , ".join(_least_order(flagged, {}))
 
 
 def canonical_program(text: str) -> str:
     """A normal form for a program: statement order, literal order, variable
     names and whitespace are all abstracted away."""
-    stripped = _strip_comments(text)
-    statements = []
-    for raw in stripped.split("."):
-        tokens = _tokenize_stmt(raw)
-        if tokens:
-            statements.append(_canonical_statement(tokens))
-    return "\n".join(sorted(statements))
+    statements = [_TOKEN.findall(raw) for raw in _strip_comments(text).split(".")]
+    return "\n".join(sorted(_canonical_statement(s) for s in statements if s))
 
 
 def programs_equivalent(a: str, b: str) -> bool:
+    """Whether the two programs have the same `canonical_program`. Exact:
+    raises `CanonicalFormError` when a statement's literal ties exceed the
+    search budget, and never guesses."""
     return canonical_program(a) == canonical_program(b)
 
 

@@ -523,14 +523,6 @@ def parse_problem(text: str) -> Problem:
     return _Parser(text).parse_problem()
 
 
-def render_problem(problem: Problem) -> str:
-    lines = [t.render().replace(";", "; ") + "." for t in problem.instance.tuples()]
-    lines += [dc.render() for dc in problem.dcs]
-    lines += [q.render() for q in problem.queries]
-    lines += [dep.render() for dep in problem.ids]
-    return "\n".join(lines) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # Evaluation
 

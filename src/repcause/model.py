@@ -153,11 +153,6 @@ class Instance:
     def schema(self) -> Dict[str, int]:
         return dict(self._schema)
 
-    def arity(self, relation: str) -> int:
-        if relation not in self._schema:
-            raise ModelError(f"unknown relation {relation}")
-        return self._schema[relation]
-
     def __len__(self) -> int:
         return len(self._tuples)
 
@@ -260,31 +255,3 @@ class Instance:
 
     def render(self) -> str:
         return "{" + ", ".join(t.render() for t in self.tuples()) + "}"
-
-
-def delta_null(before: Instance, after: Instance) -> FrozenSet[PositionRef]:
-    """The set of positions whose value was non-null in `before` and is null
-    in `after`.
-
-    Both instances must share tids and schema, and may differ only by
-    null-replacements; anything else is an error.
-    """
-    if set(before.tids()) != set(after.tids()):
-        raise ModelError("instances do not share the same tids")
-    changed = set()
-    for tid in before.tids():
-        old = before.get(tid)
-        new = after.get(tid)
-        if old.relation != new.relation or len(old.values) != len(new.values):
-            raise ModelError(f"tuple {tid} changed relation or arity")
-        for j, (a, b) in enumerate(zip(old.values, new.values), start=1):
-            if a == b:
-                continue
-            if not b.is_null():
-                raise ModelError(
-                    f"illegal change at {old.relation}[{tid};{j}]: "
-                    f"{a.render()} -> {b.render()} is not a null-replacement"
-                )
-            if not a.is_null():
-                changed.add(PositionRef(old.relation, tid, j))
-    return frozenset(changed)

@@ -6,7 +6,8 @@ over the violations' candidate positions: the slots each violating
 assignment reads through a join variable, a built-in variable, or a
 constant. A violation none of whose candidate positions is nulled survives
 verbatim, so hitting every edge is also necessary. An exhaustive oracle over
-all subsets of non-null positions validates the reduction.
+all subsets of non-null positions, `oracles.null_repairs_oracle`, validates
+the reduction.
 """
 from __future__ import annotations
 
@@ -15,9 +16,9 @@ from itertools import groupby
 from operator import itemgetter
 from typing import FrozenSet, List, Sequence
 
-from .lang import DenialConstraint, candidate_slots, is_consistent, violations
+from .lang import DenialConstraint, candidate_slots, violations
 from .model import Instance, PositionRef
-from .tuple_repairs import minimal_hitting_sets, minimal_subsets
+from .tuple_repairs import minimal_hitting_sets
 
 
 @dataclass(frozen=True)
@@ -78,16 +79,3 @@ def cardinality_null_repairs(
     first."""
     subs = null_repairs(instance, dcs)
     return [r for r in subs if len(r.delta) == len(subs[0].delta)]
-
-
-def null_repairs_oracle(
-    instance: Instance, dcs: Sequence[DenialConstraint]
-) -> List[NullRepairRecord]:
-    """Exhaustive check of every subset of non-null positions; exponential,
-    for validation only. The positions come in sort-key order, so the search
-    yields the change sets in the order `null_repairs` gives them."""
-    deltas = minimal_subsets(
-        instance.non_null_positions(),
-        lambda delta: is_consistent(instance.apply_update(delta), dcs),
-    )
-    return [NullRepairRecord(instance, d) for d in deltas]

@@ -40,8 +40,8 @@ positive.
 
 With no INDs, cl(M) = M: each M∖{τ} misses some match, since M is minimal,
 and no two of them are comparable, so the causes are read off the repairs
-directly. The brute-force counterfactual search, `causes_oracle`, is the
-independent check of both routes.
+directly. The brute-force counterfactual search, `oracles.causes_oracle`,
+is the independent check of both routes.
 """
 from __future__ import annotations
 
@@ -52,7 +52,6 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 from .lang import (
     InclusionDependency,
     QuerySpec,
-    eval_bcq,
     id_witnesses,
     negate_query_to_dc,
     satisfies_ids,
@@ -62,7 +61,6 @@ from .tuple_repairs import (
     conflict_hypergraph,
     ids_closure,
     minimal_hitting_sets,
-    minimal_subsets,
     subset_minimal,
 )
 
@@ -187,43 +185,3 @@ def most_responsible_causes(instance: Instance, query: QuerySpec) -> List[int]:
     reports = actual_causes(instance, query)
     # the reports come by (-responsibility, tid), so the kept tids are sorted
     return [r.tid for r in reports if r.responsibility == reports[0].responsibility]
-
-
-def _counterfactual_gammas(
-    instance: Instance, query: QuerySpec, ids: Sequence[InclusionDependency]
-) -> Dict[int, Set[FrozenSet[int]]]:
-    """The ⊆-minimal contingency sets of every endogenous tid, straight from
-    the counterfactual definition: D∖Γ satisfies the inclusion dependencies
-    and the query, and D∖(Γ∪{τ}) satisfies the dependencies but not the
-    query. Exponential; with no dependencies this is the plain oracle."""
-    endo = instance.endogenous_tids()
-    minimal_gammas: Dict[int, Set[FrozenSet[int]]] = {}
-    for tid in endo:
-
-        def is_contingency(gamma: FrozenSet[int]) -> bool:
-            contingent = instance.delete_tuples(gamma)
-            if not (satisfies_ids(contingent, ids) and eval_bcq(contingent, query)):
-                return False
-            counterfactual = contingent.delete_tuples({tid})
-            return satisfies_ids(counterfactual, ids) and not eval_bcq(
-                counterfactual, query
-            )
-
-        others = [t for t in endo if t != tid]
-        gammas = set(minimal_subsets(others, is_contingency))
-        if gammas:
-            minimal_gammas[tid] = gammas
-    return minimal_gammas
-
-
-def causes_oracle(
-    instance: Instance,
-    query: QuerySpec,
-    ids: Sequence[InclusionDependency] = (),
-) -> List[TupleCauseReport]:
-    """Brute force straight from the counterfactual definition, optionally
-    under hard inclusion dependencies; exponential, for validation and for
-    small inputs only."""
-    if not eval_bcq(instance, query):
-        return []
-    return _build_reports(_counterfactual_gammas(instance, query, ids), None, None)

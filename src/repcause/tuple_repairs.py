@@ -11,35 +11,14 @@ premise tuples it leaves unwitnessed, on tid sets.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
-from typing import (
-    Callable,
-    Dict,
-    FrozenSet,
-    Iterable,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Set,
-    TypeVar,
-)
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set
 
-from .lang import (
-    DenialConstraint,
-    InclusionDependency,
-    LangError,
-    id_witnesses,
-    violations,
-)
+from .lang import DenialConstraint, InclusionDependency, id_witnesses, violations
 from .model import Instance
-
-T = TypeVar("T")
 
 
 @dataclass(frozen=True)
 class ConflictHypergraph:
-    vertices: FrozenSet[int]
     edges: FrozenSet[FrozenSet[int]]
 
 
@@ -47,8 +26,7 @@ def conflict_hypergraph(
     instance: Instance, dcs: Sequence[DenialConstraint]
 ) -> ConflictHypergraph:
     edges = frozenset(frozenset(tids) for _, tids in violations(instance, dcs))
-    vertices = frozenset(t for e in edges for t in e)
-    return ConflictHypergraph(vertices, edges)
+    return ConflictHypergraph(edges)
 
 
 def minimal_hitting_sets(
@@ -85,27 +63,6 @@ def minimal_hitting_sets(
     return sorted(hits, key=lambda h: (len(h), sorted(h)))
 
 
-def minimal_subsets(
-    universe: Sequence[T], holds: Callable[[FrozenSet[T]], bool]
-) -> Iterator[FrozenSet[T]]:
-    """Yield the subset-minimal subsets of `universe` on which `holds` is
-    true, smallest first and in `itertools.combinations` order within a
-    size. Supersets of a yielded set are skipped without calling `holds`.
-
-    Exhaustive and exponential: this is the brute-force search behind the
-    counterfactual oracles.
-    """
-    found: List[FrozenSet[T]] = []
-    for size in range(len(universe) + 1):
-        for combo in combinations(universe, size):
-            subset = frozenset(combo)
-            if any(known <= subset for known in found):
-                continue
-            if holds(subset):
-                found.append(subset)
-                yield subset
-
-
 @dataclass(frozen=True)
 class RepairRecord:
     """A subset repair, held as the set of tids it deletes from `source`."""
@@ -136,20 +93,9 @@ def c_repairs(
     return [r for r in subs if len(r.removed) == len(subs[0].removed)]
 
 
-def diff_sets(
-    instance: Instance,
-    dcs: Sequence[DenialConstraint],
-    tid: int,
-    mode: str = "subset",
-) -> List[FrozenSet[int]]:
-    """Removed-sets of the repairs (subset- or cardinality-minimal ones,
-    by `mode`) that delete the given tuple."""
-    if mode == "subset":
-        records = s_repairs(instance, dcs)
-    elif mode == "cardinality":
-        records = c_repairs(instance, dcs)
-    else:
-        raise LangError(f"unknown diff mode {mode!r}")
+def diff_sets(records: Iterable[RepairRecord], tid: int) -> List[FrozenSet[int]]:
+    """The removed sets of the given repairs that delete `tid`: its diff
+    sets over `s_repairs`, or over `c_repairs` for the cardinality ones."""
     return [r.removed for r in records if tid in r.removed]
 
 

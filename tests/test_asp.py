@@ -1,6 +1,10 @@
+import random
+from itertools import permutations
+
 import pytest
 
 from repcause import (
+    CanonicalFormError,
     EmitOptions,
     canonical_program,
     emit_null_repair_program,
@@ -10,6 +14,7 @@ from repcause import (
     programs_equivalent,
     verify_model_correspondence,
 )
+from repcause import asp
 from repcause.asp import EmitError, parse_models
 
 from conftest import read_fixture
@@ -133,6 +138,132 @@ class TestCanonicalisation:
 
     def test_different_programs_differ(self):
         assert not programs_equivalent("p(a).", "p(b).")
+
+    def test_long_chains_equal_their_reversals(self):
+        for n in (8, 9, 12):
+            chain = [f"r(X{i},X{i + 1})" for i in range(n)]
+            assert programs_equivalent(
+                ":- " + ", ".join(chain) + ".", ":- " + ", ".join(chain[::-1]) + "."
+            )
+
+    def test_tie_search_past_its_budget_raises(self, monkeypatch):
+        # every literal of a complete bipartite join looks alike, so the
+        # order search branches at each step
+        rule = ":- " + ", ".join(f"r(X{i},Y{j})" for i in range(3) for j in range(4)) + "."
+        assert programs_equivalent(rule, rule)
+        monkeypatch.setattr(asp, "_TIE_BUDGET", 200)
+        with pytest.raises(CanonicalFormError):
+            programs_equivalent(rule, rule)
+
+
+# Literals of random rules, as (template, arity); the arguments fill `{}`
+LITERALS = [("r({})", 2), ("r({})", 2), ("s({})", 1), ("not t({})", 2), ("{} != {}", 2)]
+
+
+def random_rule(rng, size):
+    """A rule of `size` literals as (head, body), each a list of
+    (template, arguments), with at least one body literal."""
+    pool = [f"X{i}" for i in range(rng.randint(1, size + 1))] + ["a", "1"]
+
+    def literal(choices):
+        template, arity = rng.choice(choices)
+        return template, [rng.choice(pool) for _ in range(arity)]
+
+    heads = rng.randint(0, min(2, size - 1))
+    head = [literal([("p({})", 1), ("q({})", 2)]) for _ in range(heads)]
+    return head, [literal(LITERALS) for _ in range(size - heads)]
+
+
+def is_var(arg):
+    return arg[0].isupper()
+
+
+def render_rule(rule, rename=lambda v: v):
+    def text(template, args):
+        args = [rename(a) if is_var(a) else a for a in args]
+        if template.count("{}") > 1:
+            return template.format(*args)
+        return template.format(",".join(args))
+
+    head, body = rule
+    return (
+        " v ".join(text(*lit) for lit in head)
+        + " :- "
+        + ", ".join(text(*lit) for lit in body)
+        + "."
+    )
+
+
+def shuffled_and_renamed(rng, rule):
+    head, body = (rng.sample(part, len(part)) for part in rule)
+    names = sorted({a for _, args in head + body for a in args if is_var(a)})
+    fresh = dict(zip(names, rng.sample([f"V{i}" for i in range(40)], len(names))))
+    return render_rule((head, body), fresh.__getitem__)
+
+
+def with_one_argument(rng, rule, value):
+    """The rule with one random argument of a body literal set to `value`."""
+    head, body = rule
+    k = rng.randrange(len(body))
+    template, args = body[k]
+    args = list(args)
+    args[rng.randrange(len(args))] = value
+    return head, body[:k] + [(template, args)] + body[k + 1 :]
+
+
+def same_up_to_order_and_renaming(a, b):
+    """Brute force: some order of b's head and body literals matches a's,
+    literal by literal, under one bijective renaming of the variables."""
+
+    def fits(xs, ys):
+        forward, backward = {}, {}
+        for (tx, ax), (ty, ay) in zip(xs, ys):
+            if tx != ty:
+                return False
+            for u, v in zip(ax, ay):
+                if is_var(u) != is_var(v) or (not is_var(u) and u != v):
+                    return False
+                if is_var(u) and (
+                    forward.setdefault(u, v) != v or backward.setdefault(v, u) != u
+                ):
+                    return False
+        return True
+
+    (ha, ba), (hb, bb) = a, b
+    if len(ha) != len(hb) or len(ba) != len(bb):
+        return False
+    return any(
+        fits(ha + ba, list(h) + list(bo))
+        for h in permutations(hb)
+        for bo in permutations(bb)
+    )
+
+
+def test_canonical_form_ignores_literal_order_and_variable_names():
+    rng = random.Random(20261018)
+    for case in range(400):
+        rule = random_rule(rng, 1 + case % 12)
+        text = render_rule(rule)
+        assert programs_equivalent(text, shuffled_and_renamed(rng, rule)), text
+        # a constant found nowhere else in the rule makes it a different rule
+        changed = with_one_argument(rng, rule, "c0")
+        assert not programs_equivalent(text, shuffled_and_renamed(rng, changed)), text
+
+
+def test_canonical_form_agrees_with_brute_force_equivalence():
+    rng = random.Random(20261019)
+    equal = 0  # the pairs found equal; some must be, or the check is idle
+    for case in range(600):
+        a = random_rule(rng, 1 + case % 6)
+        if case % 2:
+            b = random_rule(rng, 1 + case % 6)
+        else:
+            b = with_one_argument(rng, a, rng.choice(["X0", "X1", "X2", "a"]))
+        verdict = same_up_to_order_and_renaming(a, b)
+        equal += verdict
+        text_a, text_b = render_rule(a), shuffled_and_renamed(rng, b)
+        assert programs_equivalent(text_a, text_b) == verdict, (text_a, text_b)
+    assert equal >= 60
 
 
 class TestModelParsing:

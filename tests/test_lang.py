@@ -11,7 +11,6 @@ from repcause import (
     is_consistent,
     negate_query_to_dc,
     parse_problem,
-    render_problem,
     satisfies_ids,
     substitute_answer,
     sym,
@@ -165,14 +164,6 @@ class TestParsing:
             tracemalloc.stop()
         assert len(problem.instance) == 20000
         assert peak <= 1.5 * retained
-
-    def test_render_round_trips(self):
-        text = "R(1;a,b).\nS(2;b).\n:- R(X, Y), S(Y).\nq :- R(X, Y)?\n"
-        problem = parse_problem(text)
-        again = parse_problem(render_problem(problem))
-        assert again.instance == problem.instance
-        assert len(again.dcs) == len(problem.dcs)
-        assert len(again.queries) == len(problem.queries)
 
 
 class TestEvaluation:

@@ -5,7 +5,6 @@ from repcause import (
     Instance,
     ModelError,
     PositionRef,
-    delta_null,
     num,
     sym,
 )
@@ -123,27 +122,3 @@ class TestPositionRef:
         refs = [PositionRef("S", 1, 1), PositionRef("R", 2, 2), PositionRef("R", 2, 1)]
         ordered = sorted(refs, key=PositionRef.sort_key)
         assert [r.render() for r in ordered] == ["R[2;1]", "R[2;2]", "S[1;1]"]
-
-
-class TestDeltaNull:
-    def test_changed_positions_reported(self):
-        inst = small_instance()
-        refs = {PositionRef("R", 1, 1), PositionRef("S", 4, 1)}
-        assert delta_null(inst, inst.apply_update(refs)) == frozenset(refs)
-
-    def test_no_change_is_empty(self):
-        inst = small_instance()
-        assert delta_null(inst, inst) == frozenset()
-
-    def test_non_null_difference_rejected(self):
-        inst = small_instance()
-        other = Instance()
-        other.add_fact("R", [sym("zz"), sym("a3")], tid=1)
-        other.add_fact("S", [sym("a4")], tid=4)
-        with pytest.raises(ModelError):
-            delta_null(inst, other)
-
-    def test_missing_tid_rejected(self):
-        inst = small_instance()
-        with pytest.raises(ModelError):
-            delta_null(inst, inst.delete_tuples({4}))

@@ -7,8 +7,8 @@ from repcause import (
     PositionRef,
     attr_causes,
     diff_null,
+    eval_bcq,
     is_actual_attr_cause,
-    is_counterfactual_attr_cause,
     parse_problem,
     tuple_null_causes,
 )
@@ -101,23 +101,6 @@ class TestTupleLevelCauses:
             assert report.witness_positions
             assert all(p.tid == report.tid for p in report.witness_positions)
 
-    def test_multiplicity_adjustment_merges_same_tuple_changes(self):
-        # one repair nulls both attributes of R(1); the adjusted measure
-        # counts those two changes as one
-        problem = parse_problem(
-            "R(1; a, b). S(2; a). T(3; b).\n"
-            "q :- R(X, Y), S(X)?\n"
-            "q :- R(X, Y), T(Y)?"
-        )
-        plain = by_tid(tuple_null_causes(problem.instance, problem.query("q")))
-        adjusted = by_tid(
-            tuple_null_causes(
-                problem.instance, problem.query("q"), multiplicity_adjusted=True
-            )
-        )
-        assert plain[1].responsibility == Fraction(1, 2)
-        assert adjusted[1].responsibility == Fraction(1)
-
 
 class TestDiffNull:
     def test_change_sets_through_a_position(self, load):
@@ -136,10 +119,16 @@ class TestDirectDefinitions:
     def test_counterfactual_check(self, load):
         problem = load("example7.cdl")
         q = problem.query("q")
-        assert is_counterfactual_attr_cause(problem.instance, q, PositionRef("S", 2, 1))
-        assert not is_counterfactual_attr_cause(
-            problem.instance, q, PositionRef("R", 3, 1)
-        )
+        # a true query's counterfactual causes are the positions whose
+        # nulling alone falsifies it
+        flagged = {r.position for r in attr_causes(problem.instance, q) if r.counterfactual}
+        assert flagged == {
+            ref
+            for ref in problem.instance.non_null_positions()
+            if not eval_bcq(problem.instance.apply_update([ref]), q)
+        }
+        assert PositionRef("S", 2, 1) in flagged
+        assert PositionRef("R", 3, 1) not in flagged
 
     def test_actual_cause_check_agrees_with_repair_route(self, load):
         problem = load("example7.cdl")

@@ -45,7 +45,7 @@ from repcause.lang import (
     eval_open,
     unsupported_premises,
 )
-from repcause.tuple_repairs import minimal_subsets
+from repcause.oracles import minimal_subsets
 
 SEED = 20260823
 RELATIONS = [("S", 1), ("R", 2), ("T", 3)]

@@ -1,8 +1,6 @@
 import random
 from itertools import chain, combinations
 
-import pytest
-
 from repcause import (
     c_repairs,
     conflict_hypergraph,
@@ -14,7 +12,7 @@ from repcause import (
     s_repairs,
     s_repairs_under_hard_ics,
 )
-from repcause.tuple_repairs import minimal_subsets
+from repcause.oracles import minimal_subsets
 
 
 def removed_sets(records):
@@ -190,34 +188,27 @@ class TestConflictHypergraph:
             frozenset({2, 3, 4}),
             frozenset({1, 3}),
         }
-        assert graph.vertices == frozenset({1, 2, 3, 4, 5})
 
 
 class TestDiffSets:
     def test_subset_mode(self, load):
         problem = load("example1.cdl")
         dcs = negate_query_to_dc(problem.query("q"))
-        assert diff_sets(problem.instance, dcs, 1, mode="subset") == [
+        assert diff_sets(s_repairs(problem.instance, dcs), 1) == [
             frozenset({1, 3})
         ]
 
     def test_cardinality_mode(self, load):
         problem = load("example1.cdl")
         dcs = negate_query_to_dc(problem.query("q"))
-        assert diff_sets(problem.instance, dcs, 6, mode="cardinality") == [
+        assert diff_sets(c_repairs(problem.instance, dcs), 6) == [
             frozenset({6})
         ]
 
     def test_never_removed_tuple(self, load):
         problem = load("example1.cdl")
         dcs = negate_query_to_dc(problem.query("q"))
-        assert diff_sets(problem.instance, dcs, 2, mode="subset") == []
-
-    def test_unknown_mode_rejected(self, load):
-        problem = load("example1.cdl")
-        dcs = negate_query_to_dc(problem.query("q"))
-        with pytest.raises(Exception):
-            diff_sets(problem.instance, dcs, 1, mode="weird")
+        assert diff_sets(s_repairs(problem.instance, dcs), 2) == []
 
 
 class TestHardInclusionDependencies:

@@ -1,9 +1,12 @@
 """Every name a module of the package imports is used in that module, and
 every module-level private name of the package is referenced somewhere in it.
+The exhaustive searches stay in `oracles.py`: no other module imports
+`itertools.combinations` or the oracle module, and none imports
+`permutations`.
 
 No linter ships with the project, so these AST scans stand in for its
-unused-import and dead-code checks. The import scan skips `__init__.py`: its
-imports are the public re-exports.
+unused-import and dead-code checks. The unused-import scan skips
+`__init__.py`: its imports are the public re-exports.
 """
 import ast
 from pathlib import Path
@@ -59,6 +62,58 @@ def unused_private_names(sources):
         for module, line, name in defined
         if name.startswith("_") and not name.startswith("__") and name not in referenced
     )
+
+
+def imports_of(source: str):
+    """The (module, name) pairs a source takes: `from m import n` gives
+    (m, n), with one leading dot per relative level; `import m` gives
+    (m, None), and reading attribute n of that module gives (m, n) too."""
+    tree = ast.parse(source)
+    taken = set()
+    modules = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = "." * node.level + (node.module or "")
+            taken.update((module, alias.name) for alias in node.names)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                taken.add((alias.name, None))
+                modules[alias.asname or alias.name] = alias.name
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id in modules:
+                taken.add((modules[node.value.id], node.attr))
+    return taken
+
+
+def takes_an_oracle(taken) -> bool:
+    return any(
+        module in (".oracles", "repcause.oracles")
+        or (module in (".", "repcause") and name == "oracles")
+        for module, name in taken
+    )
+
+
+def test_import_scan_sees_each_form():
+    source = (
+        "import itertools as it\nfrom itertools import permutations\n"
+        "from . import oracles\nx = it.combinations\n"
+    )
+    taken = imports_of(source)
+    assert ("itertools", "combinations") in taken
+    assert ("itertools", "permutations") in taken
+    assert takes_an_oracle(taken)
+    assert not takes_an_oracle(imports_of("from .tuple_causes import oracle\n"))
+
+
+@pytest.mark.parametrize("module", PACKAGE_FILES, ids=lambda p: p.name)
+def test_exhaustive_search_stays_in_the_oracle_module(module):
+    taken = imports_of(module.read_text(encoding="utf-8"))
+    assert not any(name == "permutations" for _, name in taken)
+    if module.name != "oracles.py":
+        assert ("itertools", "combinations") not in taken
+    if module.name != "__init__.py":
+        assert not takes_an_oracle(taken)
 
 
 def test_scan_finds_an_unused_import():
