@@ -132,7 +132,11 @@ def _parse_answer(text: str) -> List[Constant]:
         if not chunk:
             raise UsageError("empty value in --answer")
         if chunk.lstrip("-").isdigit():
-            out.append(num(int(chunk)))
+            try:
+                out.append(num(int(chunk)))
+            except ValueError:  # a digit int() rejects, or more than it converts
+                shown = chunk if len(chunk) <= 20 else f"{chunk[:20]}... ({len(chunk)} chars)"
+                raise UsageError(f"invalid value in --answer: {shown}") from None
         elif chunk == "null":
             out.append(NULL)
         else:
@@ -240,18 +244,14 @@ def _cmd_causes(problem: Problem, args: argparse.Namespace, with_sets: bool) -> 
     as_json = args.format == "json"
     causes = []
     if args.semantics == "tuple":
-        caps = {}
-        if with_sets:
-            caps = {
-                "max_contingency_count": args.max_contingency_count,
-                "max_contingency_size": args.max_contingency_size,
-            }
+        # responsibility prints no sets, so a count cap of 0 builds none
+        caps = (
+            (args.max_contingency_count, args.max_contingency_size) if with_sets else (0, None)
+        )
         if args.ics:
-            reports = actual_causes_under_ics(
-                problem.instance, query, problem.ids, **caps
-            )
+            reports = actual_causes_under_ics(problem.instance, query, problem.ids, *caps)
         else:
-            reports = actual_causes(problem.instance, query, **caps)
+            reports = actual_causes(problem.instance, query, *caps)
         for r in reports:
             if as_json:
                 entry = {
@@ -265,8 +265,8 @@ def _cmd_causes(problem: Problem, args: argparse.Namespace, with_sets: bool) -> 
             else:
                 line = f"tid {r.tid}: responsibility {r.responsibility}"
                 print(line + " (counterfactual)" if r.counterfactual else line)
-                for g in r.contingency_sets if with_sets else ():
-                    inner = ", ".join(str(t) for t in sorted(g))
+                for g in r.contingency_sets:
+                    inner = ", ".join(map(str, sorted(g)))
                     print(f"  contingency {{{inner}}}")
     else:
         if args.ics:

@@ -78,10 +78,18 @@ def causes_oracle(
 ) -> List[TupleCauseReport]:
     """Tuple causes by brute force from the counterfactual definition,
     optionally under hard inclusion dependencies; the check of
-    `actual_causes` and `actual_causes_under_ics`."""
+    `actual_causes` and `actual_causes_under_ics`. Each tid's sets are
+    sorted here by (size, sorted members), so comparing the reports also
+    checks the order in which those routes list them."""
     if not eval_bcq(instance, query):
         return []
-    return _build_reports(_counterfactual_gammas(instance, query, ids), None, None)
+    gammas = _counterfactual_gammas(instance, query, ids)
+    pairs = (
+        (tid, gamma | {tid})
+        for tid, sets in gammas.items()
+        for gamma in sorted(sets, key=lambda g: (len(g), sorted(g)))
+    )
+    return _build_reports(pairs, None, None)
 
 
 def null_repairs_oracle(

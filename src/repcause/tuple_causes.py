@@ -39,29 +39,29 @@ holds on D∖Γ exactly when some match of Q in D avoids Γ, since queries are
 positive.
 
 With no INDs, cl(M) = M: each M∖{τ} misses some match, since M is minimal,
-and no two of them are comparable, so the causes are read off the repairs
-directly. The brute-force counterfactual search, `oracles.causes_oracle`,
-is the independent check of both routes.
+and no two are comparable, so the causes are read off the transversals in
+one pass. These come in (size, sorted members) order, and for sets that
+hold τ, deleting τ keeps that order. Proof: take A ≠ B of equal size, both
+holding τ, and let i be the first index where sorted(A) and sorted(B)
+differ. Neither holds τ at i: if sorted(A)[i] = τ < sorted(B)[i], B could
+hold τ neither before i (that prefix is A's, all below τ) nor from i on
+(all above τ); likewise with A and B swapped. So deleting τ keeps the
+first difference and its sign. ∎ The IND route's candidates cl(M) do not
+come in that order, so it sorts its ⊆-minimal ones once. The brute-force
+search `oracles.causes_oracle` sorts its own sets and checks both routes.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .lang import (
-    InclusionDependency,
-    QuerySpec,
-    id_witnesses,
-    negate_query_to_dc,
-    satisfies_ids,
+    InclusionDependency, QuerySpec, id_witnesses, negate_query_to_dc, satisfies_ids
 )
 from .model import Instance
 from .tuple_repairs import (
-    conflict_hypergraph,
-    ids_closure,
-    minimal_hitting_sets,
-    subset_minimal,
+    conflict_hypergraph, ids_closure, minimal_hitting_sets, subset_minimal
 )
 
 
@@ -73,62 +73,65 @@ class TupleCauseReport:
     responsibility: Fraction
 
 
-def _sorted_sets(sets: Set[FrozenSet[int]]) -> Tuple[FrozenSet[int], ...]:
-    return tuple(sorted(sets, key=lambda s: (len(s), sorted(s))))
-
-
 def _build_reports(
-    minimal_gammas: dict, max_count: Optional[int], max_size: Optional[int]
+    removed_sets: Iterator[Tuple[int, FrozenSet[int]]],
+    max_count: Optional[int],
+    max_size: Optional[int],
 ) -> List[TupleCauseReport]:
-    reports = []
-    for tid, gammas in minimal_gammas.items():
-        smallest = min(len(g) for g in gammas)
-        shown = _sorted_sets(gammas)
-        if max_size is not None:
-            shown = tuple(g for g in shown if len(g) <= max_size)
-        if max_count is not None:
-            shown = shown[:max_count]
-        reports.append(
-            TupleCauseReport(
-                tid=tid,
-                counterfactual=smallest == 0,
-                contingency_sets=shown,
-                responsibility=Fraction(1, smallest + 1),
-            )
-        )
+    """One report per tid τ from (τ, S) pairs, where S = Γ ∪ {τ} for a
+    minimal contingency set Γ of τ and each τ's sets come in (size, sorted
+    members) order. The first S of τ gives its responsibility 1/|S|; each
+    later Γ is listed only while the caps keep it: the first `max_count`
+    sets of size at most `max_size`. A count of 0 builds no Γ at all."""
+    found: Dict[int, Tuple[int, List[FrozenSet[int]]]] = {}
+    for tid, removed in removed_sets:
+        if tid not in found:
+            found[tid] = (len(removed), [])
+        shown = found[tid][1]
+        if (max_count is None or len(shown) < max_count) and (
+            max_size is None or len(removed) <= max_size + 1
+        ):
+            shown.append(removed - {tid})
+    reports = [
+        TupleCauseReport(tid, smallest == 1, tuple(shown), Fraction(1, smallest))
+        for tid, (smallest, shown) in found.items()
+    ]
     reports.sort(key=lambda r: (-r.responsibility, r.tid))
     return reports
 
 
-def _transversal_gammas(
+def _removed_sets(
     instance: Instance, query: QuerySpec, ids: Sequence[InclusionDependency]
-) -> Dict[int, Set[FrozenSet[int]]]:
-    """The ⊆-minimal contingency sets of every endogenous tid: for each
-    minimal transversal M ∋ τ of the query's matches over the endogenous
-    tids, the candidate Γ = cl(M)∖{τ}, kept when cl(M) is endogenous, Γ is
-    closed and some match avoids Γ (see the module docstring). With no
-    dependencies cl(M) = M and every candidate is minimal and kept, so the
-    closure, the tests and the minimality filter are skipped."""
+) -> Iterator[Tuple[int, FrozenSet[int]]]:
+    """(τ, Γ ∪ {τ}) for each ⊆-minimal contingency set Γ of each endogenous
+    tid τ, each τ's in (size, sorted members) order (see the module
+    docstring). With no dependencies these are the pairs (τ, M) for the
+    minimal transversals M ∋ τ of the query's matches. Under them each M
+    gives the candidate cl(M), kept for τ ∈ M when cl(M) is endogenous,
+    Γ = cl(M)∖{τ} is closed and some match avoids Γ."""
     endo = set(instance.endogenous_tids())
     matches = conflict_hypergraph(instance, negate_query_to_dc(query)).edges
+    transversals = minimal_hitting_sets(matches, allowed=endo)
+    if not ids:
+        return ((tid, m) for m in transversals for tid in m)
     witnesses = id_witnesses(instance, ids)
-    gammas: Dict[int, Set[FrozenSet[int]]] = {}
-    for m in minimal_hitting_sets(matches, allowed=endo):
-        closed = ids_closure(witnesses, m) if ids else m
+    candidates: Dict[int, Set[FrozenSet[int]]] = {}
+    for m in transversals:
+        closed = ids_closure(witnesses, m)
         if not closed <= endo:
             continue
         for tid in m:
             gamma = closed - {tid}
             # cl(M) is closed, so only τ can be a premise that Γ unwitnesses
-            if ids and (
-                any(s <= gamma for s in witnesses.get(tid, ()))
-                or all(match & gamma for match in matches)
+            if not any(s <= gamma for s in witnesses.get(tid, ())) and any(
+                not match & gamma for match in matches
             ):
-                continue
-            gammas.setdefault(tid, set()).add(gamma)
-    if ids:
-        gammas = {tid: subset_minimal(sets) for tid, sets in gammas.items()}
-    return gammas
+                candidates.setdefault(tid, set()).add(closed)
+    return (
+        (tid, closed)
+        for tid, sets in candidates.items()
+        for closed in sorted(subset_minimal(sets), key=lambda s: (len(s), sorted(s)))
+    )
 
 
 def actual_causes(
@@ -139,15 +142,14 @@ def actual_causes(
 ) -> List[TupleCauseReport]:
     """Causes via repairs: tid τ is a cause iff some repair of the negated
     query removes it, and each repair removing it yields the minimal
-    contingency set (removed ∖ {τ}).
+    contingency set (removed ∖ {τ}), listed in the repairs' order.
 
-    The caps only trim the reported contingency lists; responsibility always
-    reflects the true minimum.
+    The caps keep the first `max_contingency_count` sets of size at most
+    `max_contingency_size`; responsibility always reflects the true minimum.
+    A count of 0 builds no contingency set.
     """
     return _build_reports(
-        _transversal_gammas(instance, query, ()),
-        max_contingency_count,
-        max_contingency_size,
+        _removed_sets(instance, query, ()), max_contingency_count, max_contingency_size
     )
 
 
@@ -174,14 +176,12 @@ def actual_causes_under_ics(
     if not satisfies_ids(instance, ids):
         raise ValueError("instance violates the hard inclusion dependencies")
     return _build_reports(
-        _transversal_gammas(instance, query, ids),
-        max_contingency_count,
-        max_contingency_size,
+        _removed_sets(instance, query, ids), max_contingency_count, max_contingency_size
     )
 
 
 def most_responsible_causes(instance: Instance, query: QuerySpec) -> List[int]:
     """The tids of the causes of largest responsibility, sorted."""
-    reports = actual_causes(instance, query)
+    reports = actual_causes(instance, query, max_contingency_count=0)
     # the reports come by (-responsibility, tid), so the kept tids are sorted
     return [r.tid for r in reports if r.responsibility == reports[0].responsibility]

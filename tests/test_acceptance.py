@@ -5,7 +5,6 @@ Each test prints a single ``criterion N: PASS/FAIL`` line (visible with
 the package.
 """
 import io
-import sys
 from contextlib import redirect_stdout
 from fractions import Fraction
 

@@ -169,6 +169,19 @@ class TestCauses:
         )
         assert code == 1
         assert "--answer" in err
+        # values int() rejects: a superscript digit, and more digits than
+        # the interpreter converts, where it has that limit
+        bad = ["²"]
+        if hasattr(sys, "get_int_max_str_digits"):
+            bad.append("9" * 5000)
+        for value in bad:
+            code, out, err = run(
+                capsys, "causes", fixture_path("example_registrar.cdl"),
+                "--query", "Q2", "--answer", value,
+            )
+            assert (code, out) == (1, "")
+            assert err.startswith("repcause: invalid value in --answer: ")
+            assert err.count("\n") == 1 and len(err) < 100
 
     @pytest.mark.parametrize(
         "flag", ["--max-contingency-count", "--max-contingency-size"]

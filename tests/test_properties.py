@@ -24,7 +24,6 @@ from repcause import (
     cardinality_null_repairs,
     causes_oracle,
     is_consistent,
-    negate_query_to_dc,
     null_repairs,
     null_repairs_oracle,
     parse_problem,
@@ -201,6 +200,40 @@ def test_causes_under_ics_match_counterfactual_search_property(
     assert actual_causes_under_ics(instance, query, deps) == causes_oracle(
         instance, query, deps
     )
+
+
+def capped(report, count, size):
+    """`report` with its contingency sets first filtered to those of size
+    at most `size`, then cut to the first `count`; None is no cap."""
+    kept = [g for g in report.contingency_sets if size is None or len(g) <= size]
+    return dataclasses.replace(report, contingency_sets=tuple(kept[:count]))
+
+
+@pytest.mark.parametrize("with_ids", [False, True], ids=["plain", "ics"])
+def test_contingency_caps_filter_by_size_then_cut_to_the_count(with_ids):
+    rng = random.Random(SEED + 9)
+    trimmed = {"count": 0, "size": 0}  # capped runs that drop some set
+    for _ in range(400):
+        lines = random_facts(rng, max_tuples=9, constants=ICS_CONSTANTS)
+        if with_ids:
+            lines += rng.sample(ID_MENU, rng.randint(1, 3))
+        for _ in range(rng.randint(1, 2)):
+            lines.append(f"q :- {random_body(rng, constants=ICS_CONSTANTS)}?")
+        instance, query, ids = ics_case("\n".join(lines), set())
+
+        def causes(count, size):
+            if with_ids:
+                return actual_causes_under_ics(instance, query, ids, count, size)
+            return actual_causes(instance, query, count, size)
+
+        full = causes(None, None)
+        for count, size in itertools.product([0, 1, 2, None], [0, 1, None]):
+            expected = [capped(r, count, size) for r in full]
+            # the caps never move responsibility or the counterfactual flag
+            assert causes(count, size) == expected, (lines, count, size)
+            if expected != full:
+                trimmed["size" if count is None else "count"] += 1
+    assert trimmed["count"] >= 250 and trimmed["size"] >= 40, trimmed
 
 
 def hard_ics_repairs_agree(text):

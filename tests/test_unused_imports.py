@@ -1,5 +1,6 @@
-"""Every name a module of the package imports is used in that module, and
-every module-level private name of the package is referenced somewhere in it.
+"""Every name a module of the package or of its tests imports is used in
+that module, and every module-level private name of the package is
+referenced somewhere in it.
 The exhaustive searches stay in `oracles.py`: no other module imports
 `itertools.combinations` or the oracle module, and none imports
 `permutations`.
@@ -17,6 +18,7 @@ import repcause
 
 PACKAGE_FILES = sorted(Path(repcause.__file__).parent.glob("*.py"))
 MODULES = [p for p in PACKAGE_FILES if p.name != "__init__.py"]
+TEST_FILES = sorted(Path(__file__).parent.glob("*.py"))
 
 
 def unused_imports(source: str):
@@ -129,7 +131,7 @@ def test_scan_finds_an_unused_private_name():
     assert unused_private_names(sources) == [("a", 2, "_LEFT"), ("a", 5, "_Old")]
 
 
-@pytest.mark.parametrize("module", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("module", MODULES + TEST_FILES, ids=lambda p: p.name)
 def test_module_uses_every_import(module):
     assert unused_imports(module.read_text(encoding="utf-8")) == []
 
