@@ -10,10 +10,15 @@ value is a usage error, like the same value given as a flag.
 
 Exit codes: 0 success, 1 usage error (including a failed model check) or
 an input too large for the engine, 2 parse error.
+
+The parser is built once, at import, and the REPCAUSE_ variables are read
+on each `main` call, so a long-lived caller sees a changed variable. This
+last paragraph is left out of --help.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -44,9 +49,16 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+_CHOICES = {  # of each choice flag, checked for the flag and for its REPCAUSE_ value
+    "format": ["text", "json"], "semantics": ["tuple", "null"],
+    "minimality": ["subset", "cardinality"], "flavor": ["disjunctive", "non-disjunctive"],
+}
+
+
 def _env(name: str, default=None, choices=None, type=str):
-    """REPCAUSE_<name>, checked like the flag it sets, or `default`."""
-    text = os.environ.get(f"REPCAUSE_{name}")
+    """REPCAUSE_<NAME>, checked like the flag it sets, or `default`."""
+    choices = _CHOICES.get(name, choices)
+    text = os.environ.get(f"REPCAUSE_{name.upper()}")
     if text is None:
         return default
     try:
@@ -55,7 +67,18 @@ def _env(name: str, default=None, choices=None, type=str):
             return value
     except ValueError:
         pass
-    raise UsageError(f"invalid value for REPCAUSE_{name}: {text!r}")
+    raise UsageError(f"invalid value for REPCAUSE_{name.upper()}: {text!r}")
+
+
+def _env_flags() -> Dict[str, object]:
+    """Each env-settable flag's REPCAUSE_ value or default, read now; the
+    first bad value raises, in the order ICS, FORMAT, ..., MAXINT."""
+    return dict(
+        ics=_env("ics", "0", ["0", "1"]) == "1", format=_env("format", "text"),
+        query=_env("query"), answer=_env("answer"), semantics=_env("semantics", "tuple"),
+        minimality=_env("minimality", "subset"), flavor=_env("flavor", "non-disjunctive"),
+        include=_env("include", ""), maxint=_env("maxint", 100, type=int),
+    )
 
 
 def _non_negative_int(text: str) -> int:
@@ -69,52 +92,47 @@ def _non_negative_int(text: str) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="repcause", description=__doc__)
+    parser = _Parser(prog="repcause", description=__doc__.rsplit("\n\n", 1)[0])
     sub = parser.add_subparsers(dest="command", required=True)
-    ics = _env("ICS", "0", ("0", "1")) == "1"
 
-    def choice(p: argparse.ArgumentParser, name: str, choices, default: str) -> None:
-        p.add_argument(
-            f"--{name}", choices=choices, default=_env(name.upper(), default, choices)
-        )
+    def choice(p: argparse.ArgumentParser, name: str) -> None:
+        p.add_argument(f"--{name}", choices=_CHOICES[name])
 
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("input", help="problem file")
-        choice(p, "format", ["text", "json"], "text")
-        p.add_argument("--query", default=_env("QUERY"))
+        choice(p, "format")
+        p.add_argument("--query")
         p.add_argument(
             "--answer",
-            default=_env("ANSWER"),
             help="comma-separated constants grounding an open query's head",
         )
-        choice(p, "semantics", ["tuple", "null"], "tuple")
+        choice(p, "semantics")
 
     p = sub.add_parser("repairs", help="enumerate repairs")
     common(p)
-    choice(p, "minimality", ["subset", "cardinality"], "subset")
-    p.add_argument("--ics", action="store_true", default=ics)
+    choice(p, "minimality")
+    p.add_argument("--ics", action="store_true", default=None)
 
     p = sub.add_parser("causes", help="causes with contingency sets")
     common(p)
-    p.add_argument("--ics", action="store_true", default=ics)
+    p.add_argument("--ics", action="store_true", default=None)
     p.add_argument("--level", choices=["attribute", "tuple"], default="attribute")
     p.add_argument("--max-contingency-count", type=_non_negative_int, default=None)
     p.add_argument("--max-contingency-size", type=_non_negative_int, default=None)
 
     p = sub.add_parser("responsibility", help="responsibilities only")
     common(p)
-    p.add_argument("--ics", action="store_true", default=ics)
+    p.add_argument("--ics", action="store_true", default=None)
     p.add_argument("--level", choices=["attribute", "tuple"], default="attribute")
 
     p = sub.add_parser("emit-asp", help="print a repair program")
     common(p)
-    choice(p, "flavor", ["disjunctive", "non-disjunctive"], "non-disjunctive")
+    choice(p, "flavor")
     p.add_argument(
         "--include",
-        default=_env("INCLUDE", ""),
         help="comma list of causes,cau_cont,contingency_sets,pre_rho,weak_constraints",
     )
-    p.add_argument("--maxint", type=int, default=_env("MAXINT", 100, type=int))
+    p.add_argument("--maxint", type=int)
 
     p = sub.add_parser("check", help="verify solver models against the engine")
     common(p)
@@ -123,6 +141,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate a query")
     common(p)
     return parser
+
+
+# built once; an env-settable flag defaults to None, "not given", for `main` to fill
+_PARSER = build_parser()
 
 
 def _parse_answer(text: str) -> List[Constant]:
@@ -234,8 +256,10 @@ def _cmd_repairs(problem: Problem, args: argparse.Namespace) -> int:
         )
         return 0
     for i, (diff, tuples) in enumerate(entries, start=1):
-        print(f"repair {i}: {key} {{{', '.join(str(d) for d in diff)}}}")
-        print("  {" + ", ".join(tuples) + "}")
+        sys.stdout.write(
+            f"repair {i}: {key} {{{', '.join(str(d) for d in diff)}}}\n"
+            f"  {{{', '.join(tuples)}}}\n"
+        )
     return 0
 
 
@@ -252,6 +276,8 @@ def _cmd_causes(problem: Problem, args: argparse.Namespace, with_sets: bool) -> 
             reports = actual_causes_under_ics(problem.instance, query, problem.ids, *caps)
         else:
             reports = actual_causes(problem.instance, query, *caps)
+        # each tid is turned into text once per command, not once per set
+        tid_text = functools.cache(str)
         for r in reports:
             if as_json:
                 entry = {
@@ -262,12 +288,13 @@ def _cmd_causes(problem: Problem, args: argparse.Namespace, with_sets: bool) -> 
                 if with_sets:
                     entry["contingency_sets"] = [sorted(g) for g in r.contingency_sets]
                 causes.append(entry)
-            else:
+            else:  # one write per report: a report can hold many thousands of sets
                 line = f"tid {r.tid}: responsibility {r.responsibility}"
-                print(line + " (counterfactual)" if r.counterfactual else line)
+                lines = [line + " (counterfactual)" if r.counterfactual else line]
                 for g in r.contingency_sets:
-                    inner = ", ".join(map(str, sorted(g)))
-                    print(f"  contingency {{{inner}}}")
+                    lines.append(f"  contingency {{{', '.join(map(tid_text, sorted(g)))}}}")
+                lines.append("")
+                sys.stdout.write("\n".join(lines))
     else:
         if args.ics:
             raise UsageError("--ics applies to tuple semantics only")
@@ -319,7 +346,7 @@ def _cmd_check(problem: Problem, args: argparse.Namespace) -> int:
     try:
         with open(args.models, "r", encoding="utf-8") as fh:
             models_text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read {args.models}: {exc}") from exc
     report = verify_model_correspondence(
         problem.instance, dcs, models_text, semantics=args.semantics
@@ -362,16 +389,19 @@ def _cmd_eval(problem: Problem, args: argparse.Namespace) -> int:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        env = _env_flags()
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     except UsageError as exc:
         print(f"repcause: {exc}", file=sys.stderr)
         return 1
+    # each flag the command has and the call did not give takes its REPCAUSE_ value
+    vars(args).update((k, v) for k, v in env.items() if getattr(args, k, 0) is None)
     try:
         with open(args.input, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"repcause: cannot read {args.input}: {exc}", file=sys.stderr)
         return 1
     try:

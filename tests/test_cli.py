@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -310,6 +311,18 @@ class TestCheck:
         assert out == ""
         assert err.startswith(f"repcause: cannot read {missing}")
 
+    def test_undecodable_models_file_exits_one(self, capsys, tmp_path):
+        models = tmp_path / "models.txt"
+        models.write_bytes(b"{r(1)}\xff\n")
+        code, out, err = run(
+            capsys, "check", fixture_path("example1.cdl"), "--models", models
+        )
+        assert (code, out) == (1, "")
+        assert err == (
+            f"repcause: cannot read {models}: 'utf-8' codec can't decode byte 0xff "
+            "in position 6: invalid start byte\n"
+        )
+
 
 class TestEval:
     def test_boolean_query(self, capsys):
@@ -409,6 +422,16 @@ class TestExitCodes:
         code, _, _ = run(capsys, "eval", "no-such-file.cdl")
         assert code == 1
 
+    def test_undecodable_file_exits_one(self, capsys, tmp_path):
+        bad = tmp_path / "bad.cdl"
+        bad.write_bytes(b"S(1; a\xff).\n")
+        code, out, err = run(capsys, "eval", bad)
+        assert (code, out) == (1, "")
+        assert err == (
+            f"repcause: cannot read {bad}: 'utf-8' codec can't decode byte 0xff "
+            "in position 6: invalid start byte\n"
+        )
+
     def test_unknown_flag_exits_one(self, capsys):
         code, _, _ = run(capsys, "repairs", fixture_path("example1.cdl"), "--nope")
         assert code == 1
@@ -466,6 +489,83 @@ class TestEnvironmentDefaults:
         )
         assert code == 0
         assert "#maxint = 7." in out.splitlines()
+
+    def test_variables_are_read_on_each_call(self, capsys, monkeypatch):
+        example1 = fixture_path("example1.cdl")
+        monkeypatch.delenv("REPCAUSE_FORMAT", raising=False)
+        text = run(capsys, "repairs", example1)
+        monkeypatch.setenv("REPCAUSE_FORMAT", "json")
+        as_json = run(capsys, "repairs", example1)
+        monkeypatch.setenv("REPCAUSE_FORMAT", "JSON")
+        bad = run(capsys, "repairs", example1)
+        monkeypatch.delenv("REPCAUSE_FORMAT")
+        assert run(capsys, "repairs", example1) == text
+        assert text[:2] == (0, read_fixture("cli/repairs_tuple.text"))
+        assert as_json[:2] == (0, read_fixture("cli/repairs_tuple.json"))
+        assert bad == (1, "", "repcause: invalid value for REPCAUSE_FORMAT: 'JSON'\n")
+
+    def test_explicit_include_wins_even_when_empty(self, capsys, monkeypatch):
+        argv = ("emit-asp", fixture_path("example1.cdl"))
+        plain = run(capsys, *argv)
+        monkeypatch.setenv("REPCAUSE_INCLUDE", "causes")
+        assert run(capsys, *argv) != plain
+        assert run(capsys, *argv, "--include", "") == plain
+
+    def test_explicit_maxint_wins(self, capsys, monkeypatch):
+        monkeypatch.setenv("REPCAUSE_MAXINT", "7")
+        argv = (
+            "emit-asp", fixture_path("example1.cdl"), "--include", "causes,cau_cont,pre_rho",
+        )
+        # 7 covers the fixture's 6 tuples, 5 does not
+        assert run(capsys, *argv, "--maxint", "5") == (
+            1, "", "repcause: maxint 5 too small for 6 tuples\n"
+        )
+        code, out, _ = run(capsys, *argv, "--maxint", "9")
+        assert code == 0
+        assert "#maxint = 9." in out.splitlines()
+
+    def test_explicit_ics_wins(self, capsys, monkeypatch):
+        monkeypatch.setenv("REPCAUSE_ICS", "0")
+        code, out, _ = run(
+            capsys, "repairs", fixture_path("example_registrar.cdl"),
+            "--query", "Q2", "--answer", "john", "--ics",
+        )
+        assert code == 0
+        assert out.startswith("repair 1: removed {1, 4, 8}\n")
+
+    def test_first_bad_variable_is_reported(self, capsys, monkeypatch):
+        bad = {
+            "ICS": "true", "FORMAT": "JSON", "SEMANTICS": "tupel",
+            "MINIMALITY": "card", "FLAVOR": "disjunct", "MAXINT": "abc",
+        }
+        for name, value in bad.items():
+            monkeypatch.setenv(f"REPCAUSE_{name}", value)
+        for name, value in bad.items():  # in the order they are checked
+            code, out, err = run(capsys, "repairs", fixture_path("example1.cdl"))
+            assert (code, out) == (1, "")
+            assert err == f"repcause: invalid value for REPCAUSE_{name}: {value!r}\n"
+            monkeypatch.delenv(f"REPCAUSE_{name}")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("eval", fixture_path("example1.cdl")), ("repairs", "--help")],
+        ids=["eval", "help"],
+    )
+    def test_bad_variable_fails_a_command_without_its_flag(
+        self, capsys, monkeypatch, argv
+    ):
+        monkeypatch.setenv("REPCAUSE_FLAVOR", "disjunct")
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err == "repcause: invalid value for REPCAUSE_FLAVOR: 'disjunct'\n"
+
+    def test_main_builds_no_parser(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("main built an ArgumentParser")
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", refuse)
+        code, out, err = run(capsys, "repairs", fixture_path("example1.cdl"))
+        assert (code, out, err) == (0, read_fixture("cli/repairs_tuple.text"), "")
 
 
 class TestDeterminism:

@@ -62,3 +62,41 @@ def test_stdout_matches_golden(capsys, case, fmt):
     expected = fixture_path("cli") / f"{case}.{fmt}"
     assert captured.out == expected.read_text(encoding="utf-8")
 
+
+
+# `--help` of the program and of each command; the text is wrapped to
+# COLUMNS, so the test pins it
+HELP = {
+    "help_repcause": (),
+    **{f"help_{c}": (c,) for c in (
+        "repairs", "causes", "responsibility", "emit-asp", "check", "eval",
+    )},
+}
+
+EXAMPLE1 = str(fixture_path("example1.cdl"))
+
+# usage errors: exit 1, the usage line and the message on stderr
+USAGE_ERRORS = {
+    "usage_unknown_flag": ("repairs", EXAMPLE1, "--nope"),
+    "usage_bad_choice": ("repairs", EXAMPLE1, "--format", "JSON"),
+    "usage_no_input": ("repairs",),
+    "usage_no_models": ("check", EXAMPLE1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HELP))
+def test_help_matches_golden(capsys, monkeypatch, case):
+    monkeypatch.setenv("COLUMNS", "80")
+    code = main([*HELP[case], "--help"])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (0, "")
+    assert captured.out == (fixture_path("cli") / f"{case}.txt").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("case", sorted(USAGE_ERRORS))
+def test_usage_error_matches_golden(capsys, monkeypatch, case):
+    monkeypatch.setenv("COLUMNS", "80")
+    code = main(list(USAGE_ERRORS[case]))
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert captured.err == (fixture_path("cli") / f"{case}.err").read_text(encoding="utf-8")
