@@ -19,11 +19,11 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 from fractions import Fraction
 from itertools import groupby
+from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -191,8 +191,40 @@ def _frac(f: Fraction) -> dict:
     return {"num": f.numerator, "den": f.denominator}
 
 
+def _json_text(value, indent: str = "") -> str:
+    """`json.dumps(value, indent=2, sort_keys=True)` for the dicts, lists,
+    tuples, strings, ints, bools and None a payload holds. `json.dumps`
+    falls back to its pure-Python encoder when given `indent`; this renders
+    each scalar directly and a list of ints with one join."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = indent + "  "
+    sep = ",\n" + inner
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        body = sep.join(
+            f"{encode_basestring_ascii(k)}: {_json_text(value[k], inner)}"
+            for k in sorted(value)
+        )
+        return f"{{\n{inner}{body}\n{indent}}}"
+    if not value:
+        return "[]"
+    if all(type(v) is int for v in value):
+        body = sep.join(map(int.__repr__, value))
+    else:
+        body = sep.join(_json_text(v, inner) for v in value)
+    return f"[\n{inner}{body}\n{indent}]"
+
+
 def _print_json(payload: dict) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    print(_json_text(payload))
 
 
 def _cmd_repairs(problem: Problem, args: argparse.Namespace) -> int:

@@ -14,11 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import groupby
 from operator import itemgetter
-from typing import FrozenSet, List, Sequence
+from typing import FrozenSet, List, Sequence, Tuple
 
 from .lang import DenialConstraint, candidate_slots, violations
 from .model import Instance, PositionRef
-from .tuple_repairs import minimal_hitting_sets
+from .tuple_repairs import component_transversals, minimum_families, ordered_product
 
 
 @dataclass(frozen=True)
@@ -52,6 +52,26 @@ def _candidate_edges(
     return edges
 
 
+def position_transversals(
+    instance: Instance, dcs: Sequence[DenialConstraint]
+) -> Tuple[List[PositionRef], List[List[FrozenSet[int]]]]:
+    """The candidate positions of the violations, in sort-key order, and
+    `component_transversals` of the hypergraph on their indices in that
+    list. Numbering the positions in sort-key order makes the (size, sorted
+    members) order of index sets also the order of their change sets."""
+    edges = _candidate_edges(instance, dcs)
+    refs = sorted({ref for e in edges for ref in e}, key=PositionRef.sort_key)
+    index = {ref: i for i, ref in enumerate(refs)}
+    families = component_transversals([frozenset(index[r] for r in e) for e in edges])
+    return refs, families
+
+
+def _records(
+    instance: Instance, refs: List[PositionRef], hits: List[FrozenSet[int]]
+) -> List[NullRepairRecord]:
+    return [NullRepairRecord(instance, frozenset(refs[i] for i in h)) for h in hits]
+
+
 def null_repairs(
     instance: Instance, dcs: Sequence[DenialConstraint]
 ) -> List[NullRepairRecord]:
@@ -61,21 +81,16 @@ def null_repairs(
     A violation with no candidate position cannot be repaired, and then
     there is no repair at all.
     """
-    edges = _candidate_edges(instance, dcs)
-    # number the positions in sort-key order, so that the hitting sets'
-    # (size, sorted members) order is also the order of their change sets
-    refs = sorted({ref for e in edges for ref in e}, key=PositionRef.sort_key)
-    index = {ref: i for i, ref in enumerate(refs)}
-    hits = minimal_hitting_sets([frozenset(index[r] for r in e) for e in edges])
-    return [
-        NullRepairRecord(instance, frozenset(refs[i] for i in h)) for h in hits
-    ]
+    refs, families = position_transversals(instance, dcs)
+    return _records(instance, refs, ordered_product(families))
 
 
 def cardinality_null_repairs(
     instance: Instance, dcs: Sequence[DenialConstraint]
 ) -> List[NullRepairRecord]:
-    """The null repairs of minimum size; `null_repairs` lists the smallest
-    first."""
-    subs = null_repairs(instance, dcs)
-    return [r for r in subs if len(r.delta) == len(subs[0].delta)]
+    """The null repairs of minimum size, in the order of `null_repairs`: the
+    product of each component's minimum-size change sets, since a change
+    set's size is the sum of its parts' sizes and each part is chosen on its
+    own."""
+    refs, families = position_transversals(instance, dcs)
+    return _records(instance, refs, ordered_product(minimum_families(families)))

@@ -49,19 +49,28 @@ hold τ neither before i (that prefix is A's, all below τ) nor from i on
 first difference and its sign. ∎ The IND route's candidates cl(M) do not
 come in that order, so it sorts its ⊆-minimal ones once. The brute-force
 search `oracles.causes_oracle` sorts its own sets and checks both routes.
+
+The transversals M are the unions of one minimal transversal per connected
+component of the endogenous match hypergraph (`tuple_repairs`). Listing
+them takes their product; responsibility alone, with no INDs, needs only
+the smallest M ∋ τ, which `tuple_repairs.smallest_holding` reads off the
+per-component families with no product built.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+)
 
 from .lang import (
     InclusionDependency, QuerySpec, id_witnesses, negate_query_to_dc, satisfies_ids
 )
 from .model import Instance
 from .tuple_repairs import (
-    conflict_hypergraph, ids_closure, minimal_hitting_sets, subset_minimal
+    component_transversals, conflict_hypergraph, ids_closure, ordered_product,
+    smallest_holding, subset_minimal
 )
 
 
@@ -92,12 +101,23 @@ def _build_reports(
             max_size is None or len(removed) <= max_size + 1
         ):
             shown.append(removed - {tid})
-    reports = [
+    return _ranked(
         TupleCauseReport(tid, smallest == 1, tuple(shown), Fraction(1, smallest))
         for tid, (smallest, shown) in found.items()
-    ]
-    reports.sort(key=lambda r: (-r.responsibility, r.tid))
-    return reports
+    )
+
+
+def _ranked(reports: Iterable[TupleCauseReport]) -> List[TupleCauseReport]:
+    """The reports by decreasing responsibility, then by tid."""
+    return sorted(reports, key=lambda r: (-r.responsibility, r.tid))
+
+
+def _matches(
+    instance: Instance, query: QuerySpec
+) -> Tuple[FrozenSet[FrozenSet[int]], Set[int]]:
+    """The tid sets of the query's matches and the endogenous tids."""
+    endo = set(instance.endogenous_tids())
+    return conflict_hypergraph(instance, negate_query_to_dc(query)).edges, endo
 
 
 def _removed_sets(
@@ -109,9 +129,8 @@ def _removed_sets(
     minimal transversals M ∋ τ of the query's matches. Under them each M
     gives the candidate cl(M), kept for τ ∈ M when cl(M) is endogenous,
     Γ = cl(M)∖{τ} is closed and some match avoids Γ."""
-    endo = set(instance.endogenous_tids())
-    matches = conflict_hypergraph(instance, negate_query_to_dc(query)).edges
-    transversals = minimal_hitting_sets(matches, allowed=endo)
+    matches, endo = _matches(instance, query)
+    transversals = ordered_product(component_transversals(matches, allowed=endo))
     if not ids:
         return ((tid, m) for m in transversals for tid in m)
     witnesses = id_witnesses(instance, ids)
@@ -146,8 +165,17 @@ def actual_causes(
 
     The caps keep the first `max_contingency_count` sets of size at most
     `max_contingency_size`; responsibility always reflects the true minimum.
-    A count of 0 builds no contingency set.
+    A count of 0 builds no contingency set and lists no transversal: τ's
+    first set is the smallest minimal transversal that holds it, which
+    `tuple_repairs.smallest_holding` reads off the per-component families.
     """
+    if max_contingency_count == 0:
+        matches, endo = _matches(instance, query)
+        smallest = smallest_holding(component_transversals(matches, allowed=endo))
+        return _ranked(
+            TupleCauseReport(tid, size == 1, (), Fraction(1, size))
+            for tid, size in smallest.items()
+        )
     return _build_reports(
         _removed_sets(instance, query, ()), max_contingency_count, max_contingency_size
     )

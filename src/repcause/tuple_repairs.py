@@ -2,15 +2,29 @@
 
 Subset-maximal consistent subinstances are the complements of the minimal
 hitting sets (transversals) of the conflict hypergraph, whose hyperedges are
-the tid-sets of constraint violations. `minimal_hitting_sets` enumerates
-them with Berge's edge-by-edge algorithm, which the null-update repairs
-share. Cardinality-minimal repairs are the hitting sets of minimum size.
-Hard inclusion dependencies close a removed set under the deletions of the
-premise tuples it leaves unwitnessed, on tid sets.
+the tid-sets of constraint violations. `component_transversals` splits the
+hypergraph into connected components and runs `minimal_hitting_sets`, Berge's
+edge-by-edge algorithm, on each one; the null-update repairs share it. Two
+readers turn the per-component families into answers:
+
+- `ordered_product`: the minimal transversals of the whole hypergraph are
+  exactly the unions of one minimal transversal per component. The
+  components share no vertex, so a set hits every edge exactly when its
+  part in each component hits that component's edges, and dropping a vertex
+  can only unhit edges of the vertex's own component.
+- `smallest_holding`: the size of such a union is the sum of its parts'
+  sizes, each chosen on its own, so the smallest one holding v takes the
+  smallest set of v's family that holds v and the minimum of every other.
+
+The same sum makes the cardinality-minimal repairs the product of each
+component's minimum-size sets (`minimum_families`). Hard inclusion
+dependencies close a removed set under the deletions of the premise tuples
+it leaves unwitnessed, on tid sets.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set
 
 from .lang import DenialConstraint, InclusionDependency, id_witnesses, violations
@@ -34,7 +48,8 @@ def minimal_hitting_sets(
     allowed: Optional[Set[int]] = None,
 ) -> List[FrozenSet[int]]:
     """All subset-minimal sets intersecting every edge, ordered by
-    (size, sorted members).
+    (size, sorted members). `component_transversals` runs it on each
+    connected component of a hypergraph.
 
     Berge's algorithm: starting from the empty set, add the deduplicated
     edges one at a time, smallest first, keeping the minimal transversals of
@@ -63,6 +78,79 @@ def minimal_hitting_sets(
     return sorted(hits, key=lambda h: (len(h), sorted(h)))
 
 
+def component_transversals(
+    edges: Iterable[FrozenSet[int]], allowed: Optional[Set[int]] = None
+) -> List[List[FrozenSet[int]]]:
+    """The minimal transversals of each connected component of the
+    hypergraph, one family per component, each by (size, sorted members).
+
+    With `allowed` given, the edges are cut down to those vertices first, and
+    the components are found after the cut, which can disconnect one. An
+    edge left empty has no transversal, given as one empty family; with no
+    edges there is no family, and the product of none is the empty set.
+    """
+    cut = set(edges) if allowed is None else {e.intersection(allowed) for e in edges}
+    if frozenset() in cut:
+        return [[]]
+    parent = {v: v for e in cut for v in e}
+
+    def find(v: int) -> int:
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for e in cut:
+        roots = {find(v) for v in e}
+        top = roots.pop()
+        for root in roots:
+            parent[root] = top
+    components: Dict[int, List[FrozenSet[int]]] = {}
+    for e in cut:
+        components.setdefault(find(min(e)), []).append(e)
+    return [minimal_hitting_sets(component) for component in components.values()]
+
+
+def ordered_product(families: Sequence[List[FrozenSet[int]]]) -> List[FrozenSet[int]]:
+    """Every union of one set per family, by (size, sorted members): the
+    minimal transversals of the whole hypergraph when the families are
+    `component_transversals` (proof in the module docstring). One family is
+    returned as it is."""
+    if len(families) == 1:
+        return families[0]
+    unions = [frozenset().union(*parts) for parts in product(*families)]
+    unions.sort(key=lambda h: (len(h), sorted(h)))
+    return unions
+
+
+def smallest_holding(families: Sequence[List[FrozenSet[int]]]) -> Dict[int, int]:
+    """For each vertex v of some set of `component_transversals`, the size of
+    the smallest minimal transversal of the whole hypergraph that holds v:
+    the smallest set of v's family that holds v plus the minimum of every
+    other family (proof in the module docstring). Empty when some family is,
+    as there is then no transversal at all."""
+    if not all(families):
+        return {}
+    minima = [len(family[0]) for family in families]
+    total = sum(minima)
+    smallest: Dict[int, int] = {}
+    for family, least in zip(families, minima):
+        for h in family:  # smallest first, so v's first set is its smallest
+            for v in h:
+                smallest.setdefault(v, total - least + len(h))
+    return smallest
+
+
+def minimum_families(
+    families: Sequence[List[FrozenSet[int]]],
+) -> List[List[FrozenSet[int]]]:
+    """Each family cut to its sets of minimum size. A union of one set per
+    family is as small as it can be exactly when each part is, since its
+    size is the sum of theirs, so `ordered_product` of these is the
+    minimum-size minimal transversals."""
+    return [[h for h in family if len(h) == len(family[0])] for family in families]
+
+
 @dataclass(frozen=True)
 class RepairRecord:
     """A subset repair, held as the set of tids it deletes from `source`."""
@@ -81,16 +169,19 @@ def s_repairs(
 ) -> List[RepairRecord]:
     """All subset-maximal consistent subinstances, by (size, sorted members)
     of their removed sets."""
-    graph = conflict_hypergraph(instance, dcs)
-    return [RepairRecord(instance, h) for h in minimal_hitting_sets(graph.edges)]
+    families = component_transversals(conflict_hypergraph(instance, dcs).edges)
+    return [RepairRecord(instance, h) for h in ordered_product(families)]
 
 
 def c_repairs(
     instance: Instance, dcs: Sequence[DenialConstraint]
 ) -> List[RepairRecord]:
-    """The S-repairs of minimum size; `s_repairs` lists the smallest first."""
-    subs = s_repairs(instance, dcs)
-    return [r for r in subs if len(r.removed) == len(subs[0].removed)]
+    """The S-repairs of minimum size, in the order of `s_repairs`: the
+    product of each component's minimum-size transversals, since a removed
+    set's size is the sum of its parts' sizes and each part is chosen on its
+    own."""
+    families = component_transversals(conflict_hypergraph(instance, dcs).edges)
+    return [RepairRecord(instance, h) for h in ordered_product(minimum_families(families))]
 
 
 def diff_sets(records: Iterable[RepairRecord], tid: int) -> List[FrozenSet[int]]:

@@ -6,10 +6,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repcause
 from repcause import programs_equivalent
-from repcause.cli import main
+from repcause.cli import _json_text, main
 
 from conftest import fixture_path, read_fixture
 
@@ -578,3 +580,22 @@ class TestDeterminism:
             )
             runs.append(out)
         assert runs[0] == runs[1]
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(),
+    lambda inner: (
+        st.lists(inner)
+        | st.lists(inner).map(tuple)
+        | st.lists(st.integers())
+        | st.dictionaries(st.text(), inner)
+    ),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(payload=JSON_VALUES)
+def test_json_text_is_json_dumps_indented_with_sorted_keys(payload):
+    # empty containers, non-ASCII text and lists of plain ints included
+    assert _json_text(payload) == json.dumps(payload, indent=2, sort_keys=True)
