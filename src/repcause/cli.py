@@ -231,10 +231,11 @@ def _cmd_repairs(problem: Problem, args: argparse.Namespace) -> int:
     dcs = _select_dcs(problem, args)
     # a repair keeps the source tuples in the same canonical order: it drops
     # the ones it removes, or swaps in a nulled variant of the ones its delta
-    # touches. Each source tuple, each variant and each position is rendered
-    # once per command.
+    # touches, on a copy of the rendered rows. Each source tuple, each variant
+    # and each position is rendered once per command.
     source = problem.instance.tuples()
     texts = [t.render() for t in source]
+    slot = {t.tid: i for i, t in enumerate(source)}
     if args.semantics == "tuple":
         if args.ics:
             if args.minimality == "cardinality":
@@ -248,19 +249,17 @@ def _cmd_repairs(problem: Problem, args: argparse.Namespace) -> int:
         else:
             records = s_repairs(problem.instance, dcs)
         key = "removed"
-        entries = [
-            (
-                sorted(r.removed),
-                [text for t, text in zip(source, texts) if t.tid not in r.removed],
-            )
-            for r in records
-        ]
+        entries = []
+        for r in records:
+            rows = texts.copy()
+            for i in sorted(map(slot.__getitem__, r.removed), reverse=True):
+                del rows[i]
+            entries.append((sorted(r.removed), rows))
     else:
         if args.ics:
             raise UsageError("--ics applies to tuple semantics only")
         fn = cardinality_null_repairs if args.minimality == "cardinality" else null_repairs
         key = "delta"
-        slot = {t.tid: i for i, t in enumerate(source)}
         # a position's cell: its row's slot, its column and its text, so
         # that sorting cells puts a delta in (relation, tid, position) order
         cells: Dict[PositionRef, Tuple[int, int, str]] = {}

@@ -304,12 +304,18 @@ class _Parser:
         dcs: List[DenialConstraint] = []
         ids: List[InclusionDependency] = []
         query_parts: Dict[str, Tuple[Tuple[Var, ...], List[ConjunctiveBody]]] = {}
+        # a fact value's text -> its constant, built once per parse; a
+        # constant is a non-empty tuple, so `or` falls through on a miss only
+        constants: Dict[str, Constant] = {}
 
         offset = 0
         while True:
             fact = _FACT_RE.match(text, offset)
             if fact is not None:
-                values = [_fact_value(v.strip()) for v in fact["values"].split(",")]
+                values = [
+                    constants.get(v) or constants.setdefault(v, _fact_value(v))
+                    for v in map(str.strip, fact["values"].split(","))
+                ]
                 tid = fact["tid"]
                 self._add_fact(
                     instance,

@@ -7,7 +7,6 @@ returns a fresh instance and never touches its input.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import (
     Dict,
     FrozenSet,
@@ -24,9 +23,12 @@ class ModelError(ValueError):
     """Violation of a structural constraint of the data model."""
 
 
-@dataclass(frozen=True)
-class Constant:
-    """A database constant: a symbol, an integer, or the null value."""
+class Constant(NamedTuple):
+    """A database constant: a symbol, an integer, or the null value.
+
+    A tuple of its fields, so construction, hashing and equality run in C:
+    it equals, hashes and orders as the plain tuple `(kind, payload)`. No
+    engine path compares a constant with a value of another type."""
 
     kind: str  # "symbol" | "integer" | "null"
     payload: object = ""
@@ -59,9 +61,12 @@ def num(value: int) -> Constant:
     return Constant("integer", int(value))
 
 
-@dataclass(frozen=True)
-class DbTuple:
-    """A ground tuple with a globally unique tid (occupying position 0)."""
+class DbTuple(NamedTuple):
+    """A ground tuple with a globally unique tid (occupying position 0).
+
+    Like `Constant`, a tuple of its fields: it equals, hashes and orders as
+    `(relation, tid, values, endogenous)`, so tuples of one instance sort in
+    (relation, tid) order, the tid being unique."""
 
     relation: str
     tid: int
@@ -172,7 +177,7 @@ class Instance:
 
     def tuples(self) -> List[DbTuple]:
         """All tuples in canonical (relation, tid) order."""
-        return sorted(self._tuples.values(), key=lambda t: (t.relation, t.tid))
+        return sorted(self._tuples.values())  # unique tids: no tie past the tid
 
     def tuples_of(self, relation: str) -> Tuple[DbTuple, ...]:
         """The tuples of one relation in tid order."""

@@ -62,9 +62,16 @@ def minimal_hitting_sets(
     sets of the previous round are never comparable. With no edges the
     result is the empty set alone; an empty edge makes it empty. With
     `allowed` given, only those vertices may be picked, so an edge with no
-    allowed vertex makes the result empty too.
+    allowed vertex makes the result empty too. One edge is answered
+    directly: its (allowed) vertices as singletons, in order.
     """
-    edge_list = sorted(set(edges), key=lambda e: (len(e), sorted(e)))
+    edge_set = set(edges)
+    if len(edge_set) == 1:
+        (edge,) = edge_set
+        if allowed is not None:
+            edge = edge.intersection(allowed)
+        return [frozenset((v,)) for v in sorted(edge)]
+    edge_list = sorted(edge_set, key=lambda e: (len(e), sorted(e)))
     if allowed is not None:
         edge_list = [e.intersection(allowed) for e in edge_list]
         if any(not e for e in edge_list):
@@ -74,7 +81,7 @@ def minimal_hitting_sets(
     for edge in edge_list:
         kept = [h for h in hits if h & edge]
         extended = [h | {v} for h in hits if not h & edge for v in edge]
-        hits = kept + [x for x in extended if not any(k <= x for k in kept)]
+        hits = kept + [x for x in extended if not any(map(x.issuperset, kept))]
     return sorted(hits, key=lambda h: (len(h), sorted(h)))
 
 

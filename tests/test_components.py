@@ -134,6 +134,15 @@ class TestComponentTransversals:
         for _ in range(400):
             split += check_hypergraph(*random_blocks(rng)) > 1
         assert split >= 150
+        # one edge, which `minimal_hitting_sets` answers without Berge's
+        # sorts: sizes 0 (the empty edge) to 4, alone and duplicated, with
+        # no `allowed`, an `allowed` set around part of it, and one missing it
+        for size in range(5):
+            edge = frozenset(rng.sample(range(10), size))
+            for edges in ([edge], [edge, frozenset(edge)]):
+                part = set(rng.sample(sorted(edge), size // 2)) | {10, 11}
+                for allowed in (None, part, {10}):
+                    assert check_hypergraph(edges, allowed) == 1
 
     @settings(max_examples=300, deadline=None, database=None, derandomize=True)
     @given(

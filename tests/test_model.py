@@ -73,6 +73,26 @@ class TestInstance:
         inst.add_fact("R", [sym("c"), sym("d")], tid=1)
         assert [t.tid for t in inst.tuples()] == [1, 2, 9]
 
+    def test_values_and_tuples_are_their_field_tuples(self):
+        # hash and equality are those of the field tuple, which fixes the
+        # order sets iterate in; tuples() sorts on the fields, so relations
+        # interleaved in tid order, auto and explicit tids alike, still
+        # come out in (relation, tid) order
+        for c in (sym("a"), num(-3), NULL):
+            assert hash(c) == hash((c.kind, c.payload)) and c == (c.kind, c.payload)
+        inst = Instance()
+        inst.add_fact("S", [sym("b")], tid=4)
+        inst.add_fact("R", [sym("a"), num(1)])
+        inst.add_fact("S", [NULL], endogenous=False)
+        inst.add_fact("R", [sym("c"), sym("d")], tid=3)
+        inst.add_fact("Q", [num(2)])
+        for t in inst.tuples():
+            fields = (t.relation, t.tid, t.values, t.endogenous)
+            assert hash(t) == hash(fields) and t == fields
+        assert [(t.relation, t.tid) for t in inst.tuples()] == [
+            ("Q", 5), ("R", 1), ("R", 3), ("S", 2), ("S", 4)
+        ]
+
     def test_tuples_of_is_in_tid_order_and_sees_later_facts(self):
         inst = Instance()
         inst.add_fact("R", [sym("a")], tid=5)

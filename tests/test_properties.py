@@ -623,6 +623,18 @@ def test_repairs_output_and_check_match_instance_references():
     assert unmatched_models >= 200
     assert unmatched_repairs >= 100
     assert bijective >= 30
+    # relations interleaved in tid order, auto and explicit tids, so rows
+    # sit in (relation, tid) order and not in tid order: the tuple route's
+    # removed {2, 5} sits at slots 2 and 1 (R1, R5, S2, S4, T3)
+    facts = ["S(2; a).", "R(a, 1).", "T(a, 1, a).", "S(1).", "R(5; 1, a)."]
+    problem, _, _ = check_repairs_and_check(
+        facts, ["R(X, Y), S(X)", "T(X, Y, Z), S(Z)"], set(), rng
+    )
+    slot = {t.tid: i for i, t in enumerate(problem.instance.tuples())}
+    assert any(
+        sorted(r.removed, key=slot.get) != sorted(r.removed)
+        for r in s_repairs(problem.instance, problem.dcs)
+    )
 
 
 @settings(max_examples=150, deadline=None, database=None, derandomize=True)
