@@ -658,3 +658,107 @@ def test_repairs_output_and_check_match_instance_references_property(
     dcs = [", ".join(f"{rel}({', '.join(terms)})" for rel, terms in body) for body in bodies]
     dcs = (dcs + joins) or JOIN_MENU[:1]
     check_repairs_and_check(lines, dcs, exogenous, random.Random(seed))
+
+
+# `causes` and `responsibility` output on tuple semantics, against references
+# printed from the library's reports with f-strings and `json.dumps`
+
+
+def reference_causes_stdout(reports, with_sets, fmt):
+    if fmt == "json":
+        causes = []
+        for r in reports:
+            entry = {
+                "id": r.tid,
+                "responsibility": {
+                    "num": r.responsibility.numerator, "den": r.responsibility.denominator,
+                },
+                "counterfactual": r.counterfactual,
+            }
+            if with_sets:
+                entry["contingency_sets"] = [sorted(g) for g in r.contingency_sets]
+            causes.append(entry)
+        return json.dumps({"causes": causes}, indent=2, sort_keys=True) + "\n"
+    out = []
+    for r in reports:
+        flag = " (counterfactual)" if r.counterfactual else ""
+        out.append(f"tid {r.tid}: responsibility {r.responsibility}{flag}\n")
+        if with_sets:
+            out.extend(
+                f"  contingency {{{', '.join(str(t) for t in sorted(g))}}}\n"
+                for g in r.contingency_sets
+            )
+    return "".join(out)
+
+
+CAPS = [(None, None), (1, None), (None, 0), (None, 1), (2, 1), (0, None)]
+# queries whose joins often match over two constants, so that causes have
+# several contingency sets
+QUERY_MENU = [
+    "S(X), R(X, Y), S(Y)",
+    "R(X, Y), S(Y)",
+    "R(X, Y), R(Y, Z)",
+    "T(X, Y, Z), S(X)",
+    "R(X, Y), T(Y, Z, W)",
+]
+
+
+def test_causes_output_matches_report_references():
+    rng = random.Random(SEED + 11)
+    seen = {"sets": 0, "many_sets": 0, "counterfactual": 0, "two_digit": 0,
+            "ics": 0, "exogenous": 0, "trimmed": 0}
+    for _ in range(400):
+        # tids drawn from 1..30, so that a set mixes one- and two-digit tids
+        tids = sorted(rng.sample(range(1, 31), rng.randint(2, 10)))
+        lines = []
+        for tid in tids:
+            relation, arity = rng.choice(RELATIONS)
+            values = ", ".join(rng.choice("ab") for _ in range(arity))
+            lines.append(f"{relation}({tid}; {values}).")
+        with_ids = rng.random() < 0.3
+        if with_ids:
+            lines += rng.sample(ID_MENU, rng.randint(1, 2))
+        for _ in range(rng.randint(1, 2)):
+            body = rng.choice(QUERY_MENU) if rng.random() < 0.7 else random_body(rng)
+            lines.append(f"q :- {body}?")
+        text = "\n".join(lines)
+        exogenous = set()
+        if rng.random() < 0.3:
+            exogenous = set(rng.sample(tids, rng.randint(1, len(tids))))
+        instance, query, ids = ics_case(text, exogenous)
+        problem = dataclasses.replace(parse_problem(text), instance=instance)
+        ics = ("--ics",) if with_ids else ()
+
+        def reports(count, size):
+            if with_ids:
+                return actual_causes_under_ics(instance, query, ids, count, size)
+            return actual_causes(instance, query, count, size)
+
+        full = reports(None, None)
+        for count, size in [CAPS[0], rng.choice(CAPS[1:])]:
+            flags = ics
+            if count is not None:
+                flags += ("--max-contingency-count", str(count))
+            if size is not None:
+                flags += ("--max-contingency-size", str(size))
+            capped_reports = reports(count, size)
+            seen["trimmed"] += capped_reports != full
+            for fmt in ("text", "json"):
+                expected = reference_causes_stdout(capped_reports, True, fmt)
+                got = cli_stdout(problem, "causes", *flags, "--format", fmt)
+                assert got == (0, expected), (text, exogenous, flags, fmt)
+        for fmt in ("text", "json"):
+            expected = reference_causes_stdout(full, False, fmt)
+            got = cli_stdout(problem, "responsibility", *ics, "--format", fmt)
+            assert got == (0, expected), (text, exogenous, fmt)
+        sets = [g for r in full for g in r.contingency_sets]
+        seen["sets"] += any(sets)
+        seen["many_sets"] += any(len(r.contingency_sets) >= 2 for r in full)
+        seen["counterfactual"] += any(r.counterfactual for r in full)
+        seen["two_digit"] += any(min(g) < 10 <= max(g) for g in sets if g)
+        seen["ics"] += with_ids and bool(full)
+        seen["exogenous"] += bool(exogenous) and bool(full)
+    # the corpus must reach each case that the printing treats apart
+    assert seen["sets"] >= 100 and seen["many_sets"] >= 30, seen
+    assert seen["counterfactual"] >= 70 and seen["two_digit"] >= 45, seen
+    assert seen["ics"] >= 35 and seen["exogenous"] >= 15 and seen["trimmed"] >= 70, seen
