@@ -438,24 +438,28 @@ class ModelAtom:
     args: Tuple[str, ...]
 
 
+_BRACE = re.compile(r"[{}]")
+_BRACKET = re.compile(r"[(){}\[\]]")
+
+
 def parse_models(text: str) -> List[List[ModelAtom]]:
     """Models in the solver's brace-list output format; `Best model:`
-    prefixes and `Cost ...` trailers are ignored."""
+    prefixes and `Cost ...` trailers are ignored. Steps from brace to
+    brace, not over every character."""
     models: List[List[ModelAtom]] = []
     depth = 0
-    start = None
-    for idx, ch in enumerate(text):
-        if ch == "{":
+    start = 0
+    for m in _BRACE.finditer(text):
+        if m.group() == "{":
             if depth == 0:
-                start = idx
+                start = m.end()
             depth += 1
-        elif ch == "}":
+        else:
             depth -= 1
             if depth < 0:
                 raise EmitError("unbalanced braces in model text")
-            if depth == 0 and start is not None:
-                models.append(_parse_model_body(text[start + 1 : idx]))
-                start = None
+            if depth == 0:
+                models.append(_parse_model_body(text[start : m.start()]))
     if depth != 0:
         raise EmitError("unbalanced braces in model text")
     return models
@@ -473,26 +477,34 @@ def _parse_model_body(body: str) -> List[ModelAtom]:
             if chunk.strip():
                 raise EmitError(f"cannot parse model atom {chunk.strip()!r}")
             continue
-        args = tuple(a.strip() for a in _split_chunks(m.group(2)))
+        args = tuple(map(str.strip, _split_chunks(m.group(2))))
         atoms.append(ModelAtom(m.group(1), args))
     return atoms
 
 
 def _split_chunks(text: str) -> List[str]:
-    """The non-blank pieces of `text` between its depth-0 commas."""
-    parts = []
-    depth = 0
-    start = 0
-    for idx, ch in enumerate(text):
-        if ch in "({[":
-            depth += 1
-        elif ch in ")}]":
-            depth -= 1
-        elif ch == "," and depth == 0:
-            parts.append(text[start:idx])
-            start = idx + 1
-    parts.append(text[start:])
-    return [p for p in parts if p.strip()]
+    """The non-blank pieces of `text` between its depth-0 commas. Steps from
+    bracket to bracket: a stretch at depth 0 is cut at its commas by
+    `str.split`, a stretch at any other depth is kept whole."""
+    parts = [""]
+    depth = start = 0
+    for m in _BRACKET.finditer(text):
+        if depth == 0:  # text[start:m.start()] lies at depth 0
+            head, *rest = text[start : m.start()].split(",")
+            parts[-1] += head
+            parts += rest
+            start = m.start()
+        depth += 1 if m.group() in "({[" else -1
+        if depth == 0:
+            parts[-1] += text[start : m.end()]
+            start = m.end()
+    if depth == 0:
+        head, *rest = text[start:].split(",")
+        parts[-1] += head
+        parts += rest
+    else:
+        parts[-1] += text[start:]
+    return list(filter(str.strip, parts))
 
 
 def _const_of(text: str) -> Constant:

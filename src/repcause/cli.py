@@ -22,20 +22,19 @@ import functools
 import os
 import sys
 from fractions import Fraction
-from itertools import groupby
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, \
+    Tuple
 
 from .asp import EmitOptions, emit_null_repair_program, emit_tuple_repair_program, \
     verify_model_correspondence
 from .lang import LangError, ParseError, Problem, QuerySpec, eval_bcq, eval_open, \
     negate_query_to_dc, parse_problem, substitute_answer
-from .model import Constant, ModelError, NULL, PositionRef, num, sym
+from .model import Constant, DbTuple, ModelError, NULL, num, sym
 from .null_causes import attr_causes, tuple_null_causes
-from .null_repairs import cardinality_null_repairs, null_repairs
+from .null_repairs import NullRepairRecord, cardinality_null_repairs, null_repairs
 from .tuple_causes import actual_causes, actual_causes_under_ics
-from .tuple_repairs import c_repairs, s_repairs, s_repairs_under_hard_ics
+from .tuple_repairs import RepairRecord, c_repairs, s_repairs, s_repairs_under_hard_ics
 
 
 class UsageError(ValueError):
@@ -191,11 +190,26 @@ def _frac(f: Fraction) -> dict:
     return {"num": f.numerator, "den": f.denominator}
 
 
+class _Encoded(list):
+    """A list whose items are already JSON text, each indented for its place
+    as an item of the list: `_json_text(_Encoded(_json_text(v, indent + "  ")
+    for v in items), indent)` equals `_json_text(items, indent)`."""
+
+
+def _json_list(items: Iterable[str], indent: str) -> str:
+    """The JSON list at `indent` of the given item texts, each already
+    indented for its place, with one join."""
+    inner = indent + "  "
+    body = (",\n" + inner).join(items)
+    return f"[\n{inner}{body}\n{indent}]" if body else "[]"
+
+
 def _json_text(value, indent: str = "") -> str:
     """`json.dumps(value, indent=2, sort_keys=True)` for the dicts, lists,
-    tuples, strings, ints, bools and None a payload holds. `json.dumps`
-    falls back to its pure-Python encoder when given `indent`; this renders
-    each scalar directly and a list of ints with one join."""
+    tuples, strings, ints, bools and None a payload holds, and for `_Encoded`
+    lists, whose items are joined as they are. `json.dumps` falls back to
+    its pure-Python encoder when given `indent`; this renders each scalar
+    directly and a list of ints or of strings with one join."""
     if isinstance(value, str):
         return encode_basestring_ascii(value)
     if value is None:
@@ -205,36 +219,104 @@ def _json_text(value, indent: str = "") -> str:
     if isinstance(value, int):
         return int.__repr__(value)
     inner = indent + "  "
-    sep = ",\n" + inner
     if isinstance(value, dict):
         if not value:
             return "{}"
-        body = sep.join(
+        body = (",\n" + inner).join(
             f"{encode_basestring_ascii(k)}: {_json_text(value[k], inner)}"
             for k in sorted(value)
         )
         return f"{{\n{inner}{body}\n{indent}}}"
-    if not value:
-        return "[]"
-    if all(type(v) is int for v in value):
-        body = sep.join(map(int.__repr__, value))
-    else:
-        body = sep.join(_json_text(v, inner) for v in value)
-    return f"[\n{inner}{body}\n{indent}]"
+    if type(value) is _Encoded:
+        return _json_list(value, indent)
+    types = set(map(type, value))
+    if types == {int}:
+        return _json_list(map(int.__repr__, value), indent)
+    if types == {str}:
+        return _json_list(map(encode_basestring_ascii, value), indent)
+    return _json_list([_json_text(v, inner) for v in value], indent)
 
 
 def _print_json(payload: dict) -> None:
     print(_json_text(payload))
 
 
+class _Cells(dict):
+    """Text cells keyed by what they render, each made by `render` on first
+    use and read by a plain dict lookup after that."""
+
+    def __init__(self, render: Callable[[object], str]) -> None:
+        super().__init__()
+        self.render = render
+
+    def __missing__(self, key: object) -> str:
+        text = self[key] = self.render(key)
+        return text
+
+
+def _tuple_repair_cells(
+    records: List[RepairRecord], rows: List[str], slot: Dict[int, int]
+) -> Iterator[Tuple[Iterable[str], List[str]]]:
+    """Each repair's diff cells, its removed tids in order, and the cells of
+    the source rows it keeps: a copy of `rows` with the ones it removes
+    dropped, in O(removed)."""
+    tid_text = _Cells(str)
+    for r in records:
+        kept = rows.copy()
+        for i in sorted(map(slot.__getitem__, r.removed), reverse=True):
+            del kept[i]
+        yield map(tid_text.__getitem__, sorted(r.removed)), kept
+
+
+def _nulled_cell(row: DbTuple, cell: Callable[[str], str], mask: int) -> str:
+    """The cell of `row` with each position j whose bit j - 1 is set in
+    `mask` nulled."""
+    nulled = [j for j in range(1, len(row.values) + 1) if mask >> (j - 1) & 1]
+    return cell(row.with_nulls(nulled).render())
+
+
+def _null_repair_cells(
+    records: List[NullRepairRecord],
+    source: List[DbTuple],
+    rows: List[str],
+    slot: Dict[int, int],
+    cell: Callable[[str], str],
+) -> Iterator[Tuple[Iterable[str], Iterable[str]]]:
+    """Each repair's diff cells, its delta's positions in order, and its row
+    cells: a copy of `rows` where each row the delta touches takes its cell
+    under the mask of the positions nulled in it, in O(delta). The changed
+    positions are numbered in order, so a delta's numbers sorted give its
+    positions in order."""
+    changed = sorted(frozenset().union(*(r.delta for r in records)))
+    number = {ref: k for k, ref in enumerate(changed)}
+    ref_cells = [cell(ref.render()) for ref in changed]
+    bits = [(slot[ref.tid], 1 << (ref.position - 1)) for ref in changed]
+    variants = {i: _Cells(functools.partial(_nulled_cell, source[i], cell)) for i, _ in bits}
+    for r in records:
+        ks = sorted(map(number.__getitem__, r.delta))
+        masks: Dict[int, int] = {}
+        for k in ks:
+            i, bit = bits[k]
+            masks[i] = masks.get(i, 0) | bit
+        nulled = rows.copy()
+        for i, mask in masks.items():
+            nulled[i] = variants[i][mask]
+        yield map(ref_cells.__getitem__, ks), nulled
+
+
 def _cmd_repairs(problem: Problem, args: argparse.Namespace) -> int:
     dcs = _select_dcs(problem, args)
-    # a repair keeps the source tuples in the same canonical order: it drops
-    # the ones it removes, or swaps in a nulled variant of the ones its delta
-    # touches, on a copy of the rendered rows. Each source tuple, each variant
-    # and each position is rendered once per command.
+    # each cell, a source row, a nulled variant, a tid or a position, is
+    # rendered once per command, and JSON-encoded once under --format json;
+    # a repair's text is joins of its cells, and under --format json it is
+    # one pre-encoded item of the "repairs" list. A repair keeps the source
+    # rows in their canonical order: it drops the ones it removes, or takes
+    # the nulled variant of the ones its delta touches. The text format
+    # writes each repair as it is built.
+    as_json = args.format == "json"
+    cell = encode_basestring_ascii if as_json else str
     source = problem.instance.tuples()
-    texts = [t.render() for t in source]
+    rows = list(map(cell, map(DbTuple.render, source)))
     slot = {t.tid: i for i, t in enumerate(source)}
     if args.semantics == "tuple":
         if args.ics:
@@ -249,49 +331,34 @@ def _cmd_repairs(problem: Problem, args: argparse.Namespace) -> int:
         else:
             records = s_repairs(problem.instance, dcs)
         key = "removed"
-        entries = []
-        for r in records:
-            rows = texts.copy()
-            for i in sorted(map(slot.__getitem__, r.removed), reverse=True):
-                del rows[i]
-            entries.append((sorted(r.removed), rows))
+        cells = _tuple_repair_cells(records, rows, slot)
     else:
         if args.ics:
             raise UsageError("--ics applies to tuple semantics only")
         fn = cardinality_null_repairs if args.minimality == "cardinality" else null_repairs
         key = "delta"
-        # a position's cell: its row's slot, its column and its text, so
-        # that sorting cells puts a delta in (relation, tid, position) order
-        cells: Dict[PositionRef, Tuple[int, int, str]] = {}
-        variants: Dict[Tuple[Tuple[int, int, str], ...], str] = {}
-        entries = []
-        for r in fn(problem.instance, dcs):
-            delta = []
-            for ref in r.delta:
-                cell = cells.get(ref)
-                if cell is None:
-                    cell = cells[ref] = (slot[ref.tid], ref.position, ref.render())
-                delta.append(cell)
-            delta.sort()
-            rows = texts.copy()
-            for i, row_cells in groupby(delta, key=itemgetter(0)):
-                row_cells = tuple(row_cells)
-                if row_cells not in variants:
-                    nulled = source[i].with_nulls(c[1] for c in row_cells)
-                    variants[row_cells] = nulled.render()
-                rows[i] = variants[row_cells]
-            entries.append(([c[2] for c in delta], rows))
-    if args.format == "json":
-        _print_json(
-            {"repairs": [{key: diff, "tuples": tuples} for diff, tuples in entries]}
-        )
+        cells = _null_repair_cells(fn(problem.instance, dcs), source, rows, slot, cell)
+    if as_json:
+        # a repair is an item of the "repairs" list, so its keys sit three
+        # levels in and the items of its lists four
+        _print_json({"repairs": _Encoded(
+            f'{{\n      "{key}": {_json_list(diff, "      ")},\n'
+            f'      "tuples": {_json_list(kept, "      ")}\n    }}'
+            for diff, kept in cells
+        )})
         return 0
-    for i, (diff, tuples) in enumerate(entries, start=1):
-        sys.stdout.write(
-            f"repair {i}: {key} {{{', '.join(str(d) for d in diff)}}}\n"
-            f"  {{{', '.join(tuples)}}}\n"
-        )
+    write = sys.stdout.write
+    for n, (diff, kept) in enumerate(cells, start=1):
+        write(f"repair {n}: {key} {{{', '.join(diff)}}}\n  {{{', '.join(kept)}}}\n")
     return 0
+
+
+def _joined_sets(
+    sets: Iterable[FrozenSet[int]], tid_text: Callable[[int], str], sep: str
+) -> Iterator[str]:
+    """Each set's tids in order, rendered by `tid_text` and joined by `sep`,
+    with no Python call per set."""
+    return map(sep.join, map(functools.partial(map, tid_text), map(sorted, sets)))
 
 
 def _cmd_causes(problem: Problem, args: argparse.Namespace, with_sets: bool) -> int:
@@ -308,8 +375,9 @@ def _cmd_causes(problem: Problem, args: argparse.Namespace, with_sets: bool) -> 
         else:
             reports = actual_causes(problem.instance, query, *caps)
         # each tid is turned into text once per command, not once per set
-        tid_text = functools.cache(str)
+        tid_text = _Cells(str).__getitem__
         for r in reports:
+            sets = r.contingency_sets
             if as_json:
                 entry = {
                     "id": r.tid,
@@ -317,27 +385,34 @@ def _cmd_causes(problem: Problem, args: argparse.Namespace, with_sets: bool) -> 
                     "counterfactual": r.counterfactual,
                 }
                 if with_sets:
-                    entry["contingency_sets"] = [sorted(g) for g in r.contingency_sets]
+                    # a set is an item of a cause's "contingency_sets", four
+                    # levels in, and its tids five. A cause has the empty
+                    # set exactly when it is counterfactual, and then no other.
+                    entry["contingency_sets"] = _Encoded(
+                        ["[]"] * len(sets) if r.counterfactual else map(
+                            "[\n          {}\n        ]".format,
+                            _joined_sets(sets, tid_text, ",\n          "),
+                        )
+                    )
                 causes.append(entry)
             else:  # one write per report: a report can hold many thousands of sets
                 line = f"tid {r.tid}: responsibility {r.responsibility}"
-                lines = [line + " (counterfactual)" if r.counterfactual else line]
-                for g in r.contingency_sets:
-                    lines.append(f"  contingency {{{', '.join(map(tid_text, sorted(g)))}}}")
-                lines.append("")
-                sys.stdout.write("\n".join(lines))
+                line += " (counterfactual)\n" if r.counterfactual else "\n"
+                if sets:
+                    body = "}\n  contingency {".join(_joined_sets(sets, tid_text, ", "))
+                    line += f"  contingency {{{body}}}\n"
+                sys.stdout.write(line)
     else:
         if args.ics:
             raise UsageError("--ics applies to tuple semantics only")
         if args.level == "tuple":
             for r in tuple_null_causes(problem.instance, query):
                 if as_json:
-                    positions = sorted(r.witness_positions, key=lambda p: p.sort_key())
                     causes.append(
                         {
                             "id": r.tid,
                             "responsibility": _frac(r.responsibility),
-                            "positions": [p.render() for p in positions],
+                            "positions": [p.render() for p in sorted(r.witness_positions)],
                         }
                     )
                 else:
@@ -399,11 +474,7 @@ def _cmd_check(problem: Problem, args: argparse.Namespace) -> int:
 def _cmd_eval(problem: Problem, args: argparse.Namespace) -> int:
     query = problem.query(args.query)
     if query.head_vars and not args.answer:
-        answers = sorted(
-            eval_open(problem.instance, query),
-            key=lambda row: [c.sort_key() for c in row],
-        )
-        rows = [[c.render() for c in row] for row in answers]
+        rows = [[c.render() for c in row] for row in sorted(eval_open(problem.instance, query))]
         if args.format == "json":
             _print_json({"query": query.name, "answers": rows})
         else:
@@ -416,6 +487,20 @@ def _cmd_eval(problem: Problem, args: argparse.Namespace) -> int:
         else:
             print("true" if value else "false")
     return 0
+
+
+def _stdout_to_devnull() -> None:
+    """Point the file descriptor under stdout at the null device, so that
+    the interpreter's last flush of what stdout still buffers writes
+    nowhere and fails no more. An in-process stream with no descriptor,
+    such as a `StringIO`, is left as it is."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -459,6 +544,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 1
     except (RecursionError, MemoryError) as exc:
         print(f"repcause: input too large: {type(exc).__name__}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:  # the reader closed stdout, as `| head` does
+        _stdout_to_devnull()
         return 1
 
 

@@ -41,9 +41,6 @@ class Constant(NamedTuple):
             return "null"
         return str(self.payload)
 
-    def sort_key(self) -> Tuple[str, object]:
-        return (self.kind, self.payload)
-
     def __repr__(self) -> str:  # keeps test diffs readable
         return f"Constant({self.render()})"
 
@@ -98,9 +95,6 @@ class PositionRef(NamedTuple):
 
     def render(self) -> str:
         return f"{self.relation}[{self.tid};{self.position}]"
-
-    def sort_key(self) -> Tuple[str, int, int]:
-        return (self.relation, self.tid, self.position)
 
 
 class Instance:
@@ -244,11 +238,8 @@ class Instance:
 
     # -- equality ----------------------------------------------------------
 
-    def _key(self) -> FrozenSet[Tuple[int, str, Tuple[Constant, ...], bool]]:
-        return frozenset(
-            (t, tup.relation, tup.values, tup.endogenous)
-            for t, tup in self._tuples.items()
-        )
+    def _key(self) -> FrozenSet[DbTuple]:
+        return frozenset(self._tuples.values())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Instance):

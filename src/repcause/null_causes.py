@@ -70,7 +70,7 @@ def attr_causes(instance: Instance, query: QuerySpec) -> List[AttrCauseReport]:
         )
         for ref, size in _smallest_change_sets(instance, query).items()
     ]
-    reports.sort(key=lambda r: (-r.responsibility, r.position.sort_key()))
+    reports.sort(key=lambda r: (-r.responsibility, r.position))
     return reports
 
 

@@ -55,12 +55,13 @@ def _candidate_edges(
 def position_transversals(
     instance: Instance, dcs: Sequence[DenialConstraint]
 ) -> Tuple[List[PositionRef], List[List[FrozenSet[int]]]]:
-    """The candidate positions of the violations, in sort-key order, and
-    `component_transversals` of the hypergraph on their indices in that
-    list. Numbering the positions in sort-key order makes the (size, sorted
-    members) order of index sets also the order of their change sets."""
+    """The candidate positions of the violations, in (relation, tid,
+    position) order, and `component_transversals` of the hypergraph on their
+    indices in that list. Numbering the positions in order makes the (size,
+    sorted members) order of index sets also the order of their change
+    sets."""
     edges = _candidate_edges(instance, dcs)
-    refs = sorted({ref for e in edges for ref in e}, key=PositionRef.sort_key)
+    refs = sorted(frozenset().union(*edges))
     index = {ref: i for i, ref in enumerate(refs)}
     families = component_transversals([frozenset(index[r] for r in e) for e in edges])
     return refs, families
@@ -69,7 +70,7 @@ def position_transversals(
 def _records(
     instance: Instance, refs: List[PositionRef], hits: List[FrozenSet[int]]
 ) -> List[NullRepairRecord]:
-    return [NullRepairRecord(instance, frozenset(refs[i] for i in h)) for h in hits]
+    return [NullRepairRecord(instance, frozenset(map(refs.__getitem__, h))) for h in hits]
 
 
 def null_repairs(

@@ -70,7 +70,7 @@ from .lang import (
 from .model import Instance
 from .tuple_repairs import (
     component_transversals, conflict_hypergraph, ids_closure, ordered_product,
-    smallest_holding, subset_minimal
+    size_ordered, smallest_holding, subset_minimal
 )
 
 
@@ -149,7 +149,7 @@ def _removed_sets(
     return (
         (tid, closed)
         for tid, sets in candidates.items()
-        for closed in sorted(subset_minimal(sets), key=lambda s: (len(s), sorted(s)))
+        for closed in size_ordered(subset_minimal(sets))
     )
 
 

@@ -43,6 +43,14 @@ def conflict_hypergraph(
     return ConflictHypergraph(edges)
 
 
+def size_ordered(sets: Iterable[FrozenSet[int]]) -> List[FrozenSet[int]]:
+    """`sets` by (size, sorted members): sorted by members, then stably by
+    size, two passes whose keys are C functions."""
+    ordered = sorted(sets, key=sorted)
+    ordered.sort(key=len)
+    return ordered
+
+
 def minimal_hitting_sets(
     edges: Iterable[FrozenSet[int]],
     allowed: Optional[Set[int]] = None,
@@ -71,7 +79,7 @@ def minimal_hitting_sets(
         if allowed is not None:
             edge = edge.intersection(allowed)
         return [frozenset((v,)) for v in sorted(edge)]
-    edge_list = sorted(edge_set, key=lambda e: (len(e), sorted(e)))
+    edge_list = size_ordered(edge_set)
     if allowed is not None:
         edge_list = [e.intersection(allowed) for e in edge_list]
         if any(not e for e in edge_list):
@@ -82,7 +90,7 @@ def minimal_hitting_sets(
         kept = [h for h in hits if h & edge]
         extended = [h | {v} for h in hits if not h & edge for v in edge]
         hits = kept + [x for x in extended if not any(map(x.issuperset, kept))]
-    return sorted(hits, key=lambda h: (len(h), sorted(h)))
+    return size_ordered(hits)
 
 
 def component_transversals(
@@ -125,9 +133,7 @@ def ordered_product(families: Sequence[List[FrozenSet[int]]]) -> List[FrozenSet[
     returned as it is."""
     if len(families) == 1:
         return families[0]
-    unions = [frozenset().union(*parts) for parts in product(*families)]
-    unions.sort(key=lambda h: (len(h), sorted(h)))
-    return unions
+    return size_ordered(frozenset().union(*parts) for parts in product(*families))
 
 
 def smallest_holding(families: Sequence[List[FrozenSet[int]]]) -> Dict[int, int]:
@@ -239,5 +245,4 @@ def s_repairs_under_hard_ics(
         return s_repairs(instance, dcs)
     witnesses = id_witnesses(instance, ids)
     candidates = {ids_closure(witnesses, rec.removed) for rec in s_repairs(instance, dcs)}
-    removed_sets = sorted(subset_minimal(candidates), key=lambda r: (len(r), sorted(r)))
-    return [RepairRecord(instance, r) for r in removed_sets]
+    return [RepairRecord(instance, r) for r in size_ordered(subset_minimal(candidates))]

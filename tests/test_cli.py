@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import repcause
 from repcause import programs_equivalent
-from repcause.cli import _json_text, main
+from repcause.cli import _Encoded, _json_text, main
 
 from conftest import fixture_path, read_fixture
 
@@ -420,6 +420,27 @@ class TestExitCodes:
         code, out, _ = run(capsys, "causes", fixture_path("example1.cdl"))
         assert (result.returncode, result.stdout) == (code, out)
 
+    def test_closed_pipe_exits_one_without_traceback(self, tmp_path):
+        # the 10-tuple path under the null semantics prints 512 repairs,
+        # about 130 KB, more than a pipe buffers
+        path = tmp_path / "path10.cdl"
+        facts = [f"A({i}; c{i}, c{i + 1})." for i in range(1, 11)]
+        path.write_text("\n".join(facts + [":- A(X, Y), A(Y, Z)."]) + "\n")
+        src = str(Path(repcause.__file__).parent.parent)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repcause", "repairs", str(path), "--semantics", "null"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        first = proc.stdout.readline()
+        proc.stdout.close()  # what `| head -1` does after its line
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert first.startswith(b"repair 1: delta {")
+        assert err == b""
+
     def test_missing_file_exits_one(self, capsys):
         code, _, _ = run(capsys, "eval", "no-such-file.cdl")
         assert code == 1
@@ -599,3 +620,20 @@ JSON_VALUES = st.recursive(
 def test_json_text_is_json_dumps_indented_with_sorted_keys(payload):
     # empty containers, non-ASCII text and lists of plain ints included
     assert _json_text(payload) == json.dumps(payload, indent=2, sort_keys=True)
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(items=st.lists(JSON_VALUES), key=st.text(), depth=st.integers(0, 3))
+def test_encoded_items_are_placed_as_they_are(items, key, depth):
+    # a list's items encoded ahead, each at the indent of its place, as the
+    # CLI encodes repairs and contingency sets
+    nested = items
+    for _ in range(depth):
+        nested = {key: [nested]}
+    inner = "  " * (2 * depth + 1)
+    encoded = _Encoded(_json_text(v, inner) for v in items)
+    for _ in range(depth):
+        encoded = {key: [encoded]}
+    assert _json_text(encoded) == _json_text(nested) == json.dumps(
+        nested, indent=2, sort_keys=True
+    )

@@ -138,7 +138,7 @@ class TestPositionRef:
     def test_render(self):
         assert PositionRef("R", 2, 1).render() == "R[2;1]"
 
-    def test_sort_key_orders_by_relation_tid_position(self):
+    def test_orders_by_relation_tid_position(self):
         refs = [PositionRef("S", 1, 1), PositionRef("R", 2, 2), PositionRef("R", 2, 1)]
-        ordered = sorted(refs, key=PositionRef.sort_key)
+        ordered = sorted(refs)
         assert [r.render() for r in ordered] == ["R[2;1]", "R[2;2]", "S[1;1]"]

@@ -17,7 +17,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repcause import (
-    PositionRef,
     actual_causes,
     actual_causes_under_ics,
     c_repairs,
@@ -34,7 +33,7 @@ from repcause import (
     violations,
 )
 from repcause import cli
-from repcause.asp import CorrespondenceReport, parse_models
+from repcause.asp import _MODEL_ATOM, CorrespondenceReport, EmitError, ModelAtom, parse_models
 from repcause.lang import (
     CrossTypeComparisonError,
     QuerySpec,
@@ -465,7 +464,7 @@ def reference_repairs_stdout(records, semantics, fmt):
         if semantics == "tuple":
             diff = sorted(r.removed)
         else:
-            diff = [p.render() for p in sorted(r.delta, key=PositionRef.sort_key)]
+            diff = [p.render() for p in sorted(r.delta)]
         entries.append((diff, [t.render() for t in r.repair.tuples()]))
     if fmt == "json":
         payload = {"repairs": [{key: d, "tuples": ts} for d, ts in entries]}
@@ -515,6 +514,72 @@ def solver_models(instance, records, rng):
     return "\n".join("{" + ", ".join(atoms) + "}" for atoms in models)
 
 
+def reference_split_chunks(text):
+    """The non-blank pieces of `text` between its depth-0 commas, found one
+    character at a time."""
+    parts = []
+    depth = 0
+    start = 0
+    for idx, ch in enumerate(text):
+        if ch in "({[":
+            depth += 1
+        elif ch in ")}]":
+            depth -= 1
+        elif ch == "," and depth == 0:
+            parts.append(text[start:idx])
+            start = idx + 1
+    parts.append(text[start:])
+    return [p for p in parts if p.strip()]
+
+
+def reference_parse_models(text):
+    """`parse_models`, reading the text one character at a time."""
+    models = []
+    depth = 0
+    start = None
+    for idx, ch in enumerate(text):
+        if ch == "{":
+            if depth == 0:
+                start = idx
+            depth += 1
+        elif ch == "}":
+            depth -= 1
+            if depth < 0:
+                raise EmitError("unbalanced braces in model text")
+            if depth == 0:
+                atoms = []
+                for chunk in reference_split_chunks(text[start + 1 : idx]):
+                    m = _MODEL_ATOM.match(chunk)
+                    if not m:
+                        raise EmitError(f"cannot parse model atom {chunk.strip()!r}")
+                    args = tuple(a.strip() for a in reference_split_chunks(m.group(2)))
+                    atoms.append(ModelAtom(m.group(1), args))
+                models.append(atoms)
+    if depth != 0:
+        raise EmitError("unbalanced braces in model text")
+    return models
+
+
+def read_models(reader, text):
+    """`reader`'s models of `text`, or the message of the error it raises."""
+    try:
+        return reader(text)
+    except EmitError as exc:
+        return str(exc)
+
+
+def scrambled(text, rng):
+    """`text` with a few brackets, commas or blanks inserted or deleted."""
+    chars = list(text)
+    for _ in range(rng.randint(1, 4)):
+        i = rng.randrange(len(chars) + 1)
+        if chars and i < len(chars) and rng.random() < 0.3:
+            del chars[i]
+        else:
+            chars.insert(i, rng.choice("{}()[], "))
+    return "".join(chars)
+
+
 def fact_values(args):
     return parse_problem(f"P(1; {', '.join(args)}).").instance.get(1).values
 
@@ -529,7 +594,7 @@ def reference_correspondence(instance, dcs, models_text, semantics):
     ]
     report = CorrespondenceReport()
     used = set()
-    for mi, atoms in enumerate(parse_models(models_text)):
+    for mi, atoms in enumerate(reference_parse_models(models_text)):
         # the values go through the problem parser, not the model reader
         key = frozenset(
             (a.predicate[:-2], int(a.args[0]), fact_values(a.args[1:-1]))
@@ -577,6 +642,10 @@ def check_repairs_and_check(facts, dcs, exogenous, rng):
             assert cli_stdout(problem, "repairs", *flags) == (0, expected), case
         if minimality == "subset":
             models = solver_models(problem.instance, records, rng)
+            for text in (models, scrambled(models, rng)):
+                assert read_models(parse_models, text) == read_models(
+                    reference_parse_models, text
+                ), text
             report = verify_model_correspondence(
                 problem.instance, problem.dcs, models, semantics
             )
