@@ -23,7 +23,7 @@ import os
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, \
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, \
     Tuple
 
 from .asp import EmitOptions, emit_null_repair_program, emit_tuple_repair_program, \
@@ -354,11 +354,11 @@ def _cmd_repairs(problem: Problem, args: argparse.Namespace) -> int:
 
 
 def _joined_sets(
-    sets: Iterable[FrozenSet[int]], tid_text: Callable[[int], str], sep: str
+    sets: Iterable[Tuple[int, ...]], tid_text: Callable[[int], str], sep: str
 ) -> Iterator[str]:
-    """Each set's tids in order, rendered by `tid_text` and joined by `sep`,
-    with no Python call per set."""
-    return map(sep.join, map(functools.partial(map, tid_text), map(sorted, sets)))
+    """Each set's tids, already increasing, rendered by `tid_text` and
+    joined by `sep`, with no Python call per set."""
+    return map(sep.join, map(functools.partial(map, tid_text), sets))
 
 
 def _cmd_causes(problem: Problem, args: argparse.Namespace, with_sets: bool) -> int:
@@ -377,7 +377,7 @@ def _cmd_causes(problem: Problem, args: argparse.Namespace, with_sets: bool) -> 
         # each tid is turned into text once per command, not once per set
         tid_text = _Cells(str).__getitem__
         for r in reports:
-            sets = r.contingency_sets
+            sets = r.contingency_tids
             if as_json:
                 entry = {
                     "id": r.tid,

@@ -83,13 +83,13 @@ def causes_oracle(
     checks the order in which those routes list them."""
     if not eval_bcq(instance, query):
         return []
-    gammas = _counterfactual_gammas(instance, query, ids)
-    pairs = (
-        (tid, gamma | {tid})
-        for tid, sets in gammas.items()
-        for gamma in sorted(sets, key=lambda g: (len(g), sorted(g)))
-    )
-    return _build_reports(pairs, None, None)
+    triples = []
+    for tid, sets in _counterfactual_gammas(instance, query, ids).items():
+        gammas = sorted(map(tuple, map(sorted, sets)))
+        gammas.sort(key=len)
+        # τ goes last, so the builder's slice s[:i] + s[i+1:] is Γ itself
+        triples += [(tid, gamma + (tid,), len(gamma)) for gamma in gammas]
+    return _build_reports(triples, None, None)
 
 
 def null_repairs_oracle(

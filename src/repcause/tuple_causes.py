@@ -50,6 +50,14 @@ first difference and its sign. ∎ The IND route's candidates cl(M) do not
 come in that order, so it sorts its ⊆-minimal ones once. The brute-force
 search `oracles.causes_oracle` sorts its own sets and checks both routes.
 
+A report stores each contingency set once, as the increasing tuple of its
+tids (`TupleCauseReport.contingency_tids`). Each M, or under INDs each kept
+cl(M), is sorted once into such a tuple s, and for τ = s[i] its Γ is the
+slice s[:i] + s[i+1:]: it stays increasing, and by the lemma above τ's
+slices keep the (size, sorted members) order of its sets s. So no set of Γ
+is built and none is sorted again to be printed; `contingency_sets` gives
+the frozensets on read.
+
 The transversals M are the unions of one minimal transversal per connected
 component of the endogenous match hypergraph (`tuple_repairs`). Listing
 them takes their product; responsibility alone, with no INDs, needs only
@@ -70,37 +78,50 @@ from .lang import (
 from .model import Instance
 from .tuple_repairs import (
     component_transversals, conflict_hypergraph, ids_closure, ordered_product,
-    size_ordered, smallest_holding, subset_minimal
+    smallest_holding, subset_minimal
 )
 
 
 @dataclass(frozen=True)
 class TupleCauseReport:
+    """A cause τ with its responsibility and its listed minimal contingency
+    sets, in (size, sorted members) order. Each set is stored once, as the
+    increasing tuple of its tids; `contingency_sets` gives them as
+    frozensets, built on each read."""
+
     tid: int
     counterfactual: bool
-    contingency_sets: Tuple[FrozenSet[int], ...]
+    contingency_tids: Tuple[Tuple[int, ...], ...]
     responsibility: Fraction
+
+    @property
+    def contingency_sets(self) -> Tuple[FrozenSet[int], ...]:
+        """The contingency sets as frozensets, in the stored order."""
+        return tuple(map(frozenset, self.contingency_tids))
+
+
+Removed = Tuple[int, Tuple[int, ...], int]
 
 
 def _build_reports(
-    removed_sets: Iterator[Tuple[int, FrozenSet[int]]],
-    max_count: Optional[int],
-    max_size: Optional[int],
+    removed_sets: Iterable[Removed], max_count: Optional[int], max_size: Optional[int]
 ) -> List[TupleCauseReport]:
-    """One report per tid τ from (τ, S) pairs, where S = Γ ∪ {τ} for a
-    minimal contingency set Γ of τ and each τ's sets come in (size, sorted
-    members) order. The first S of τ gives its responsibility 1/|S|; each
-    later Γ is listed only while the caps keep it: the first `max_count`
-    sets of size at most `max_size`. A count of 0 builds no Γ at all."""
-    found: Dict[int, Tuple[int, List[FrozenSet[int]]]] = {}
-    for tid, removed in removed_sets:
-        if tid not in found:
-            found[tid] = (len(removed), [])
-        shown = found[tid][1]
+    """One report per tid τ from (τ, s, i) triples with s[i] = τ, where
+    Γ = s[:i] + s[i+1:] is the increasing tuple of a minimal contingency set
+    of τ and each τ's sets come in (size, sorted members) order. The first s
+    of τ gives its responsibility 1/|s|; each later Γ is listed only while
+    the caps keep it: the first `max_count` sets of size at most `max_size`.
+    A count of 0 builds no Γ at all."""
+    found: Dict[int, Tuple[int, List[Tuple[int, ...]]]] = {}
+    for tid, removed, i in removed_sets:
+        entry = found.get(tid)
+        if entry is None:
+            found[tid] = entry = (len(removed), [])
+        shown = entry[1]
         if (max_count is None or len(shown) < max_count) and (
             max_size is None or len(removed) <= max_size + 1
         ):
-            shown.append(removed - {tid})
+            shown.append(removed[:i] + removed[i + 1:])
     return _ranked(
         TupleCauseReport(tid, smallest == 1, tuple(shown), Fraction(1, smallest))
         for tid, (smallest, shown) in found.items()
@@ -122,17 +143,22 @@ def _matches(
 
 def _removed_sets(
     instance: Instance, query: QuerySpec, ids: Sequence[InclusionDependency]
-) -> Iterator[Tuple[int, FrozenSet[int]]]:
-    """(τ, Γ ∪ {τ}) for each ⊆-minimal contingency set Γ of each endogenous
-    tid τ, each τ's in (size, sorted members) order (see the module
-    docstring). With no dependencies these are the pairs (τ, M) for the
-    minimal transversals M ∋ τ of the query's matches. Under them each M
-    gives the candidate cl(M), kept for τ ∈ M when cl(M) is endogenous,
-    Γ = cl(M)∖{τ} is closed and some match avoids Γ."""
+) -> Iterator[Removed]:
+    """(τ, s, i) with s the increasing tuple of Γ ∪ {τ} and s[i] = τ, for
+    each ⊆-minimal contingency set Γ of each endogenous tid τ, each τ's in
+    (size, sorted members) order (see the module docstring). With no
+    dependencies s is a minimal transversal M ∋ τ of the query's matches,
+    sorted once. Under them each M gives the candidate cl(M), kept for τ ∈ M
+    when cl(M) is endogenous, Γ = cl(M)∖{τ} is closed and some match avoids
+    Γ."""
     matches, endo = _matches(instance, query)
     transversals = ordered_product(component_transversals(matches, allowed=endo))
     if not ids:
-        return ((tid, m) for m in transversals for tid in m)
+        return (
+            (tid, s, i)
+            for s in map(tuple, map(sorted, transversals))
+            for i, tid in enumerate(s)
+        )
     witnesses = id_witnesses(instance, ids)
     candidates: Dict[int, Set[FrozenSet[int]]] = {}
     for m in transversals:
@@ -147,10 +173,18 @@ def _removed_sets(
             ):
                 candidates.setdefault(tid, set()).add(closed)
     return (
-        (tid, closed)
+        (tid, s, s.index(tid))
         for tid, sets in candidates.items()
-        for closed in size_ordered(subset_minimal(sets))
+        for s in _increasing(subset_minimal(sets))
     )
+
+
+def _increasing(sets: Iterable[FrozenSet[int]]) -> List[Tuple[int, ...]]:
+    """Each set as the increasing tuple of its members, sorted once, the
+    tuples by (size, members) in two passes whose keys are C functions."""
+    ordered = sorted(map(tuple, map(sorted, sets)))
+    ordered.sort(key=len)
+    return ordered
 
 
 def actual_causes(

@@ -182,9 +182,9 @@ def random_grouped_problem(rng):
 def check_routes(problem):
     instance, query = problem.instance, problem.query("q")
     full = actual_causes(instance, query)
-    bare = [dataclasses.replace(r, contingency_sets=()) for r in full]
+    bare = [dataclasses.replace(r, contingency_tids=()) for r in full]
     oracle = [
-        dataclasses.replace(r, contingency_sets=()) for r in causes_oracle(instance, query)
+        dataclasses.replace(r, contingency_tids=()) for r in causes_oracle(instance, query)
     ]
     assert actual_causes(instance, query, max_contingency_count=0) == bare == oracle
     top = [r.tid for r in bare if r.responsibility == bare[0].responsibility]

@@ -204,8 +204,8 @@ def test_causes_under_ics_match_counterfactual_search_property(
 def capped(report, count, size):
     """`report` with its contingency sets first filtered to those of size
     at most `size`, then cut to the first `count`; None is no cap."""
-    kept = [g for g in report.contingency_sets if size is None or len(g) <= size]
-    return dataclasses.replace(report, contingency_sets=tuple(kept[:count]))
+    kept = [g for g in report.contingency_tids if size is None or len(g) <= size]
+    return dataclasses.replace(report, contingency_tids=tuple(kept[:count]))
 
 
 @pytest.mark.parametrize("with_ids", [False, True], ids=["plain", "ics"])

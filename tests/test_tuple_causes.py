@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -31,6 +32,25 @@ class TestActualCauses:
         assert set(reports[3].contingency_sets) == {frozenset({1}), frozenset({4})}
         assert reports[4].responsibility == Fraction(1, 2)
         assert reports[4].contingency_sets == (frozenset({3}),)
+
+    def test_contingency_tids_on_a_family_too_big_for_the_oracle(self):
+        # 8 disjoint matches {R(ai), S(ai)}: τ's sets take one tuple of each
+        # other match, 2^7 of size 7; R and S tids interleave across matches
+        k = 8
+        matches = [(i, 2 * k + 1 - i) for i in range(1, k + 1)]
+        facts = [f"R({r}; a{r}). S({s}; a{r})." for r, s in matches]
+        problem = parse_problem("\n".join(facts + ["q :- R(X), S(X)?"]))
+        reports = actual_causes(problem.instance, problem.query("q"))
+        assert [r.tid for r in reports] == list(range(1, 2 * k + 1))
+        for r in reports:
+            tids = r.contingency_tids
+            assert len(tids) == 2 ** (k - 1)
+            assert all(a < b for g in tids for a, b in zip(g, g[1:]))
+            assert list(tids) == sorted(tids, key=lambda g: (len(g), g))
+            others = [m for m in matches if r.tid not in m]
+            assert set(tids) == {tuple(sorted(p)) for p in product(*others)}
+            assert r.contingency_sets == tuple(map(frozenset, tids))
+            assert r.responsibility == Fraction(1, k)
 
     def test_reports_sorted_by_responsibility_then_tid(self, load):
         problem = load("example1.cdl")
