@@ -560,18 +560,18 @@ def verify_model_correspondence(
     """Check that the solver's stable models encode exactly this engine's
     repairs, one for one."""
     # key each repair from the source rows: drop the removed rows, or swap
-    # in the nulled variants of the rows the delta touches
+    # in the nulled variants of the rows its changes touch
     rows = {t.tid: (t.relation, t.tid, t.values) for t in instance.tuples()}
     source = frozenset(rows.values())
     if semantics == "tuple":
         repair_keys = [
-            source.difference([rows[tid] for tid in r.removed])
+            source.difference([rows[tid] for tid in r.removed_tids])
             for r in s_repairs(instance, dcs)
         ]
     elif semantics == "null":
         repair_keys = []
         for r in null_repairs(instance, dcs):
-            nulled = instance.nulled_tuples(r.delta)
+            nulled = instance.nulled_tuples(r.changes)
             repair_keys.append(
                 source.difference([rows[t.tid] for t in nulled]).union(
                     (t.relation, t.tid, t.values) for t in nulled

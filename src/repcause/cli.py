@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import functools
 import os
+import re
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
@@ -30,7 +31,7 @@ from .asp import EmitOptions, emit_null_repair_program, emit_tuple_repair_progra
     verify_model_correspondence
 from .lang import LangError, ParseError, Problem, QuerySpec, eval_bcq, eval_open, \
     negate_query_to_dc, parse_problem, substitute_answer
-from .model import Constant, DbTuple, ModelError, NULL, num, sym
+from .model import Constant, DbTuple, ModelError, num, sym
 from .null_causes import attr_causes, tuple_null_causes
 from .null_repairs import NullRepairRecord, cardinality_null_repairs, null_repairs
 from .tuple_causes import actual_causes, actual_causes_under_ics
@@ -146,22 +147,27 @@ def build_parser() -> argparse.ArgumentParser:
 _PARSER = build_parser()
 
 
+# the constants an input can hold: an integer, or a name that is not a variable
+_ANSWER_RE = re.compile(r"(-?[0-9]+)|[a-z_][A-Za-z0-9_]*")
+
+
 def _parse_answer(text: str) -> List[Constant]:
+    """The constants of a comma-separated --answer; `null` is the null. A
+    value no input constant can equal is a usage error, not an answer with
+    no causes."""
     out = []
     for chunk in text.split(","):
         chunk = chunk.strip()
         if not chunk:
             raise UsageError("empty value in --answer")
-        if chunk.lstrip("-").isdigit():
-            try:
-                out.append(num(int(chunk)))
-            except ValueError:  # a digit int() rejects, or more than it converts
-                shown = chunk if len(chunk) <= 20 else f"{chunk[:20]}... ({len(chunk)} chars)"
-                raise UsageError(f"invalid value in --answer: {shown}") from None
-        elif chunk == "null":
-            out.append(NULL)
-        else:
-            out.append(sym(chunk))
+        match = _ANSWER_RE.fullmatch(chunk)
+        try:
+            if match is None:
+                raise ValueError(chunk)
+            out.append(num(int(chunk)) if match[1] else sym(chunk))
+        except ValueError:  # no constant, or more digits than int() converts
+            shown = chunk if len(chunk) <= 20 else f"{chunk[:20]}... ({len(chunk)} chars)"
+            raise UsageError(f"invalid value in --answer: {shown}") from None
     return out
 
 
@@ -263,9 +269,9 @@ def _tuple_repair_cells(
     tid_text = _Cells(str)
     for r in records:
         kept = rows.copy()
-        for i in sorted(map(slot.__getitem__, r.removed), reverse=True):
+        for i in sorted(map(slot.__getitem__, r.removed_tids), reverse=True):
             del kept[i]
-        yield map(tid_text.__getitem__, sorted(r.removed)), kept
+        yield map(tid_text.__getitem__, r.removed_tids), kept
 
 
 def _nulled_cell(row: DbTuple, cell: Callable[[str], str], mask: int) -> str:
@@ -282,26 +288,23 @@ def _null_repair_cells(
     slot: Dict[int, int],
     cell: Callable[[str], str],
 ) -> Iterator[Tuple[Iterable[str], Iterable[str]]]:
-    """Each repair's diff cells, its delta's positions in order, and its row
-    cells: a copy of `rows` where each row the delta touches takes its cell
-    under the mask of the positions nulled in it, in O(delta). The changed
-    positions are numbered in order, so a delta's numbers sorted give its
-    positions in order."""
-    changed = sorted(frozenset().union(*(r.delta for r in records)))
-    number = {ref: k for k, ref in enumerate(changed)}
-    ref_cells = [cell(ref.render()) for ref in changed]
-    bits = [(slot[ref.tid], 1 << (ref.position - 1)) for ref in changed]
-    variants = {i: _Cells(functools.partial(_nulled_cell, source[i], cell)) for i, _ in bits}
+    """Each repair's diff cells, its changed positions in order, and its row
+    cells: a copy of `rows` where each row the changes touch takes its cell
+    under the mask of the positions nulled in it, in O(changes)."""
+    changed = {ref for r in records for ref in r.changes}
+    ref_cells = {ref: cell(ref.render()) for ref in changed}
+    bits = {ref: (slot[ref.tid], 1 << (ref.position - 1)) for ref in changed}
+    variants = {
+        i: _Cells(functools.partial(_nulled_cell, source[i], cell)) for i, _ in bits.values()
+    }
     for r in records:
-        ks = sorted(map(number.__getitem__, r.delta))
         masks: Dict[int, int] = {}
-        for k in ks:
-            i, bit = bits[k]
+        for i, bit in map(bits.__getitem__, r.changes):
             masks[i] = masks.get(i, 0) | bit
         nulled = rows.copy()
         for i, mask in masks.items():
             nulled[i] = variants[i][mask]
-        yield map(ref_cells.__getitem__, ks), nulled
+        yield map(ref_cells.__getitem__, r.changes), nulled
 
 
 def _cmd_repairs(problem: Problem, args: argparse.Namespace) -> int:

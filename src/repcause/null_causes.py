@@ -57,7 +57,7 @@ def diff_null(
     """Change sets of the minimal null-repairs (of the negated query) that
     null the given position."""
     repairs = null_repairs(instance, negate_query_to_dc(query))
-    return [r.delta for r in repairs if position in r.delta]
+    return [r.delta for r in repairs if position in r.changes]
 
 
 def attr_causes(instance: Instance, query: QuerySpec) -> List[AttrCauseReport]:

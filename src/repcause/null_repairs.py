@@ -21,18 +21,24 @@ from .model import Instance, PositionRef
 from .tuple_repairs import component_transversals, minimum_families, ordered_product
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NullRepairRecord:
-    """A null repair, held as the set of positions it nulls in `source`."""
+    """A null repair, held as the increasing tuple of the positions it nulls
+    in `source`; `delta` gives them as a frozenset, built on each read."""
 
     source: Instance = field(compare=False, repr=False)
-    delta: FrozenSet[PositionRef]
+    changes: Tuple[PositionRef, ...]
+
+    @property
+    def delta(self) -> FrozenSet[PositionRef]:
+        """The nulled positions as a frozenset."""
+        return frozenset(self.changes)
 
     @property
     def repair(self) -> Instance:
-        """The updated instance with every position of `delta` nulled, built
-        on each read."""
-        return self.source.apply_update(self.delta)
+        """The updated instance with every position of `changes` nulled,
+        built on each read."""
+        return self.source.apply_update(self.changes)
 
 
 def _candidate_edges(
@@ -54,11 +60,12 @@ def _candidate_edges(
 
 def position_transversals(
     instance: Instance, dcs: Sequence[DenialConstraint]
-) -> Tuple[List[PositionRef], List[List[FrozenSet[int]]]]:
+) -> Tuple[List[PositionRef], List[List[Tuple[int, ...]]]]:
     """The candidate positions of the violations, in (relation, tid,
     position) order, and `component_transversals` of the hypergraph on their
-    indices in that list. Numbering the positions in order makes the (size,
-    sorted members) order of index sets also the order of their change
+    indices in that list. Numbering the positions in order makes each
+    increasing tuple of indices name its positions in increasing order, and
+    the (size, members) order of the index tuples that of their change
     sets."""
     edges = _candidate_edges(instance, dcs)
     refs = sorted(frozenset().union(*edges))
@@ -68,9 +75,9 @@ def position_transversals(
 
 
 def _records(
-    instance: Instance, refs: List[PositionRef], hits: List[FrozenSet[int]]
+    instance: Instance, refs: List[PositionRef], hits: List[Tuple[int, ...]]
 ) -> List[NullRepairRecord]:
-    return [NullRepairRecord(instance, frozenset(map(refs.__getitem__, h))) for h in hits]
+    return [NullRepairRecord(instance, tuple(map(refs.__getitem__, h))) for h in hits]
 
 
 def null_repairs(

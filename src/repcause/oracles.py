@@ -102,7 +102,7 @@ def null_repairs_oracle(
         instance.non_null_positions(),
         lambda delta: is_consistent(instance.apply_update(delta), dcs),
     )
-    return [NullRepairRecord(instance, d) for d in deltas]
+    return [NullRepairRecord(instance, tuple(sorted(d))) for d in deltas]
 
 
 def is_actual_attr_cause(

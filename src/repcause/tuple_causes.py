@@ -51,10 +51,11 @@ come in that order, so it sorts its ⊆-minimal ones once. The brute-force
 search `oracles.causes_oracle` sorts its own sets and checks both routes.
 
 A report stores each contingency set once, as the increasing tuple of its
-tids (`TupleCauseReport.contingency_tids`). Each M, or under INDs each kept
-cl(M), is sorted once into such a tuple s, and for τ = s[i] its Γ is the
-slice s[:i] + s[i+1:]: it stays increasing, and by the lemma above τ's
-slices keep the (size, sorted members) order of its sets s. So no set of Γ
+tids (`TupleCauseReport.contingency_tids`). Each M comes from
+`tuple_repairs` as such a tuple s, sorted once there; under INDs each kept
+cl(M) is sorted once into one. For τ = s[i] its Γ is the slice
+s[:i] + s[i+1:]: it stays increasing, and by the lemma above τ's slices
+keep the (size, sorted members) order of its sets s. So no set of Γ
 is built and none is sorted again to be printed; `contingency_sets` gives
 the frozensets on read.
 
@@ -77,7 +78,7 @@ from .lang import (
 )
 from .model import Instance
 from .tuple_repairs import (
-    component_transversals, conflict_hypergraph, ids_closure, ordered_product,
+    component_transversals, conflict_hypergraph, ids_closure, increasing, ordered_product,
     smallest_holding, subset_minimal
 )
 
@@ -148,17 +149,13 @@ def _removed_sets(
     each ⊆-minimal contingency set Γ of each endogenous tid τ, each τ's in
     (size, sorted members) order (see the module docstring). With no
     dependencies s is a minimal transversal M ∋ τ of the query's matches,
-    sorted once. Under them each M gives the candidate cl(M), kept for τ ∈ M
-    when cl(M) is endogenous, Γ = cl(M)∖{τ} is closed and some match avoids
-    Γ."""
+    as `ordered_product` gives it. Under them each M gives the candidate
+    cl(M), kept for τ ∈ M when cl(M) is endogenous, Γ = cl(M)∖{τ} is closed
+    and some match avoids Γ."""
     matches, endo = _matches(instance, query)
     transversals = ordered_product(component_transversals(matches, allowed=endo))
     if not ids:
-        return (
-            (tid, s, i)
-            for s in map(tuple, map(sorted, transversals))
-            for i, tid in enumerate(s)
-        )
+        return ((tid, s, i) for s in transversals for i, tid in enumerate(s))
     witnesses = id_witnesses(instance, ids)
     candidates: Dict[int, Set[FrozenSet[int]]] = {}
     for m in transversals:
@@ -175,16 +172,8 @@ def _removed_sets(
     return (
         (tid, s, s.index(tid))
         for tid, sets in candidates.items()
-        for s in _increasing(subset_minimal(sets))
+        for s in increasing(subset_minimal(sets))
     )
-
-
-def _increasing(sets: Iterable[FrozenSet[int]]) -> List[Tuple[int, ...]]:
-    """Each set as the increasing tuple of its members, sorted once, the
-    tuples by (size, members) in two passes whose keys are C functions."""
-    ordered = sorted(map(tuple, map(sorted, sets)))
-    ordered.sort(key=len)
-    return ordered
 
 
 def actual_causes(

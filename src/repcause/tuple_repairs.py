@@ -24,8 +24,8 @@ it leaves unwitnessed, on tid sets.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set
+from itertools import chain, product
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .lang import DenialConstraint, InclusionDependency, id_witnesses, violations
 from .model import Instance
@@ -43,10 +43,11 @@ def conflict_hypergraph(
     return ConflictHypergraph(edges)
 
 
-def size_ordered(sets: Iterable[FrozenSet[int]]) -> List[FrozenSet[int]]:
-    """`sets` by (size, sorted members): sorted by members, then stably by
-    size, two passes whose keys are C functions."""
-    ordered = sorted(sets, key=sorted)
+def increasing(sets: Iterable[Iterable[int]]) -> List[Tuple[int, ...]]:
+    """Each set as the increasing tuple of its members, sorted once, and
+    the tuples by (size, members): a plain sort, then a stable one by size,
+    both keyed in C."""
+    ordered = sorted(map(tuple, map(sorted, sets)))
     ordered.sort(key=len)
     return ordered
 
@@ -54,10 +55,11 @@ def size_ordered(sets: Iterable[FrozenSet[int]]) -> List[FrozenSet[int]]:
 def minimal_hitting_sets(
     edges: Iterable[FrozenSet[int]],
     allowed: Optional[Set[int]] = None,
-) -> List[FrozenSet[int]]:
-    """All subset-minimal sets intersecting every edge, ordered by
-    (size, sorted members). `component_transversals` runs it on each
-    connected component of a hypergraph.
+) -> List[Tuple[int, ...]]:
+    """All subset-minimal sets intersecting every edge, each as the
+    increasing tuple of its members, ordered by (size, members).
+    `component_transversals` runs it on each connected component of a
+    hypergraph.
 
     Berge's algorithm: starting from the empty set, add the deduplicated
     edges one at a time, smallest first, keeping the minimal transversals of
@@ -68,7 +70,7 @@ def minimal_hitting_sets(
     needs the vertex added to one to lie in the other, which misses the
     edge; and an extended set is never inside a kept set, since two minimal
     sets of the previous round are never comparable. With no edges the
-    result is the empty set alone; an empty edge makes it empty. With
+    result is the empty tuple alone; an empty edge makes it empty. With
     `allowed` given, only those vertices may be picked, so an edge with no
     allowed vertex makes the result empty too. One edge is answered
     directly: its (allowed) vertices as singletons, in order.
@@ -78,31 +80,32 @@ def minimal_hitting_sets(
         (edge,) = edge_set
         if allowed is not None:
             edge = edge.intersection(allowed)
-        return [frozenset((v,)) for v in sorted(edge)]
-    edge_list = size_ordered(edge_set)
+        return [(v,) for v in sorted(edge)]
+    edge_list = increasing(edge_set)
     if allowed is not None:
-        edge_list = [e.intersection(allowed) for e in edge_list]
-        if any(not e for e in edge_list):
+        edge_list = [tuple(v for v in e if v in allowed) for e in edge_list]
+        if not all(edge_list):
             return []
 
     hits: List[FrozenSet[int]] = [frozenset()]
     for edge in edge_list:
-        kept = [h for h in hits if h & edge]
-        extended = [h | {v} for h in hits if not h & edge for v in edge]
+        kept = [h for h in hits if not h.isdisjoint(edge)]
+        extended = [h | {v} for h in hits if h.isdisjoint(edge) for v in edge]
         hits = kept + [x for x in extended if not any(map(x.issuperset, kept))]
-    return size_ordered(hits)
+    return increasing(hits)
 
 
 def component_transversals(
     edges: Iterable[FrozenSet[int]], allowed: Optional[Set[int]] = None
-) -> List[List[FrozenSet[int]]]:
+) -> List[List[Tuple[int, ...]]]:
     """The minimal transversals of each connected component of the
-    hypergraph, one family per component, each by (size, sorted members).
+    hypergraph, one family per component, each as `minimal_hitting_sets`
+    gives it.
 
     With `allowed` given, the edges are cut down to those vertices first, and
     the components are found after the cut, which can disconnect one. An
     edge left empty has no transversal, given as one empty family; with no
-    edges there is no family, and the product of none is the empty set.
+    edges there is no family, and the product of none is the empty tuple.
     """
     cut = set(edges) if allowed is None else {e.intersection(allowed) for e in edges}
     if frozenset() in cut:
@@ -126,17 +129,18 @@ def component_transversals(
     return [minimal_hitting_sets(component) for component in components.values()]
 
 
-def ordered_product(families: Sequence[List[FrozenSet[int]]]) -> List[FrozenSet[int]]:
-    """Every union of one set per family, by (size, sorted members): the
-    minimal transversals of the whole hypergraph when the families are
-    `component_transversals` (proof in the module docstring). One family is
-    returned as it is."""
+def ordered_product(families: Sequence[List[Tuple[int, ...]]]) -> List[Tuple[int, ...]]:
+    """Every union of one set per family, each as the increasing tuple of
+    its members, by (size, members): the minimal transversals of the whole
+    hypergraph when the families are `component_transversals` (proof in the
+    module docstring). The families share no member, so a union is its
+    parts chained, sorted once. One family is returned as it is."""
     if len(families) == 1:
         return families[0]
-    return size_ordered(frozenset().union(*parts) for parts in product(*families))
+    return increasing(map(chain.from_iterable, product(*families)))
 
 
-def smallest_holding(families: Sequence[List[FrozenSet[int]]]) -> Dict[int, int]:
+def smallest_holding(families: Sequence[List[Tuple[int, ...]]]) -> Dict[int, int]:
     """For each vertex v of some set of `component_transversals`, the size of
     the smallest minimal transversal of the whole hypergraph that holds v:
     the smallest set of v's family that holds v plus the minimum of every
@@ -155,8 +159,8 @@ def smallest_holding(families: Sequence[List[FrozenSet[int]]]) -> Dict[int, int]
 
 
 def minimum_families(
-    families: Sequence[List[FrozenSet[int]]],
-) -> List[List[FrozenSet[int]]]:
+    families: Sequence[List[Tuple[int, ...]]],
+) -> List[List[Tuple[int, ...]]]:
     """Each family cut to its sets of minimum size. A union of one set per
     family is as small as it can be exactly when each part is, since its
     size is the sum of theirs, so `ordered_product` of these is the
@@ -164,17 +168,23 @@ def minimum_families(
     return [[h for h in family if len(h) == len(family[0])] for family in families]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RepairRecord:
-    """A subset repair, held as the set of tids it deletes from `source`."""
+    """A subset repair, held as the increasing tuple of the tids it deletes
+    from `source`; `removed` gives them as a frozenset, built on each read."""
 
     source: Instance = field(compare=False, repr=False)
-    removed: FrozenSet[int]
+    removed_tids: Tuple[int, ...]
+
+    @property
+    def removed(self) -> FrozenSet[int]:
+        """The removed tids as a frozenset."""
+        return frozenset(self.removed_tids)
 
     @property
     def repair(self) -> Instance:
         """The repaired instance D ∖ removed, built on each read."""
-        return self.source.delete_tuples(self.removed)
+        return self.source.delete_tuples(self.removed_tids)
 
 
 def s_repairs(
@@ -200,7 +210,7 @@ def c_repairs(
 def diff_sets(records: Iterable[RepairRecord], tid: int) -> List[FrozenSet[int]]:
     """The removed sets of the given repairs that delete `tid`: its diff
     sets over `s_repairs`, or over `c_repairs` for the cardinality ones."""
-    return [r.removed for r in records if tid in r.removed]
+    return [r.removed for r in records if tid in r.removed_tids]
 
 
 def subset_minimal(sets: Set[FrozenSet[int]]) -> Set[FrozenSet[int]]:
@@ -209,7 +219,7 @@ def subset_minimal(sets: Set[FrozenSet[int]]) -> Set[FrozenSet[int]]:
 
 
 def ids_closure(
-    witnesses: Dict[int, List[FrozenSet[int]]], removed: FrozenSet[int]
+    witnesses: Dict[int, List[FrozenSet[int]]], removed: Iterable[int]
 ) -> FrozenSet[int]:
     """cl(removed): `removed` plus, to a fixpoint, every premise tuple one of
     whose witness sets the deletions so far cover, where `witnesses` is
@@ -244,5 +254,5 @@ def s_repairs_under_hard_ics(
     if not ids:
         return s_repairs(instance, dcs)
     witnesses = id_witnesses(instance, ids)
-    candidates = {ids_closure(witnesses, rec.removed) for rec in s_repairs(instance, dcs)}
-    return [RepairRecord(instance, r) for r in size_ordered(subset_minimal(candidates))]
+    candidates = {ids_closure(witnesses, r.removed_tids) for r in s_repairs(instance, dcs)}
+    return [RepairRecord(instance, r) for r in increasing(subset_minimal(candidates))]

@@ -187,6 +187,30 @@ class TestCauses:
             assert err.count("\n") == 1 and len(err) < 100
 
     @pytest.mark.parametrize(
+        "value, shown",
+        [("Foo", "Foo"), ("a b", "a b"), ("-", "-"), ("'john'", "'john'"),
+         ("4x", "4x"), ("john, Eli", "Eli")],
+    )
+    def test_answer_no_constant_can_equal_is_a_usage_error(
+        self, capsys, monkeypatch, value, shown
+    ):
+        # an upper-case name is a variable, and the input holds no other
+        # characters in a constant: printing no causes would hide the typo
+        argv = ["causes", fixture_path("example_registrar.cdl"), "--query", "Q2"]
+        code, out, err = run(capsys, *argv, "--answer", value)
+        assert (code, out, err) == (1, "", f"repcause: invalid value in --answer: {shown}\n")
+        monkeypatch.setenv("REPCAUSE_ANSWER", value)
+        assert run(capsys, *argv) == (code, out, err)
+
+    @pytest.mark.parametrize("value", ["7", "-7", "null", "_x9", "eli", "kEvin_2"])
+    def test_answer_takes_an_integer_null_or_a_name(self, capsys, value):
+        code, _, err = run(
+            capsys, "causes", fixture_path("example_registrar.cdl"),
+            "--query", "Q2", "--answer", value,
+        )
+        assert (code, err) == (0, "")
+
+    @pytest.mark.parametrize(
         "flag", ["--max-contingency-count", "--max-contingency-size"]
     )
     def test_negative_contingency_cap_is_a_usage_error(self, capsys, flag):

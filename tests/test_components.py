@@ -63,7 +63,7 @@ def smallest_only(items, size=len):
 
 
 def check_hypergraph(edges, allowed):
-    expected = whole_graph_berge(edges, allowed)
+    expected = [tuple(sorted(h)) for h in whole_graph_berge(edges, allowed)]
     families = component_transversals(edges, allowed)
     assert ordered_product(families) == expected
     assert minimal_hitting_sets(edges, allowed) == expected
@@ -103,14 +103,14 @@ class TestComponentTransversals:
     def test_an_allowed_set_can_split_a_component(self):
         edges = [frozenset({1, 2}), frozenset({2, 3})]
         families = component_transversals(edges, allowed={1, 3})
-        assert {tuple(f) for f in families} == {(frozenset({1}),), (frozenset({3}),)}
-        assert ordered_product(families) == [frozenset({1, 3})]
+        assert {tuple(f) for f in families} == {((1,),), ((3,),)}
+        assert ordered_product(families) == [(1, 3)]
         assert smallest_holding(families) == {1: 2, 3: 2}
         assert check_hypergraph(edges, {1, 3}) == 2
 
     def test_no_edges_and_an_empty_edge(self):
         assert component_transversals([]) == []
-        assert ordered_product([]) == [frozenset()]
+        assert ordered_product([]) == [()]
         assert smallest_holding([]) == {}
         for edges in ([frozenset()], [frozenset({1}), frozenset()]):
             assert component_transversals(edges) == [[]]
@@ -122,6 +122,14 @@ class TestComponentTransversals:
         edges = [frozenset({1, 2}), frozenset({1, 2}), frozenset({1, 2, 5}),
                  frozenset({7}), frozenset({7, 8}), frozenset({3, 4})]
         assert check_hypergraph(edges, None) == 3
+
+    def test_a_union_is_its_chained_parts_sorted(self):
+        # the second family's members come before the first's, so a union
+        # chained part by part is out of order until it is sorted
+        assert ordered_product([[(5, 6)], [(1, 9)]]) == [(1, 5, 6, 9)]
+        assert ordered_product([[(2,), (5, 6)], [(1, 9), (3, 4, 7)]]) == [
+            (1, 2, 9), (1, 5, 6, 9), (2, 3, 4, 7), (3, 4, 5, 6, 7)
+        ]
 
     def test_one_component_is_returned_as_it_is(self):
         path = [frozenset({i, i + 1}) for i in range(1, 9)]

@@ -1,6 +1,7 @@
 import pytest
 
 from repcause import (
+    NullRepairRecord,
     PositionRef,
     cardinality_null_repairs,
     is_consistent,
@@ -86,6 +87,26 @@ class TestNullRepairs:
             for ref in rec.delta:
                 smaller = problem.instance.apply_update(rec.delta - {ref})
                 assert not is_consistent(smaller, dcs)
+
+
+class TestNullRepairRecord:
+    def test_stores_the_increasing_changes(self, load):
+        problem = load("example7.cdl")
+        dcs = negate_query_to_dc(problem.query("q"))
+        records = null_repairs(problem.instance, dcs)
+        assert [r.changes for r in records] == [
+            (PositionRef("S", 2, 1),),
+            (PositionRef("R", 3, 1), PositionRef("R", 4, 1), PositionRef("R", 5, 1)),
+        ]
+        for r in records:
+            assert r.delta == frozenset(r.changes)
+            assert not hasattr(r, "__dict__")
+        # the source takes no part in equality or hashing
+        other = NullRepairRecord(parse_problem("S(a).").instance, records[1].changes)
+        assert other == records[1] and hash(other) == hash(records[1])
+        assert other != NullRepairRecord(problem.instance, records[0].changes)
+        # the oracle lists the same stored tuples in the same order
+        assert null_repairs_oracle(problem.instance, dcs) == records
 
 
 class TestCardinalityNullRepairs:

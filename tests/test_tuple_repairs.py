@@ -2,6 +2,7 @@ import random
 from itertools import chain, combinations
 
 from repcause import (
+    RepairRecord,
     c_repairs,
     conflict_hypergraph,
     diff_sets,
@@ -21,17 +22,14 @@ def removed_sets(records):
 
 class TestMinimalHittingSets:
     def test_single_edge(self):
-        assert minimal_hitting_sets([frozenset({1, 2})]) == [
-            frozenset({1}),
-            frozenset({2}),
-        ]
+        assert minimal_hitting_sets([frozenset({1, 2})]) == [(1,), (2,)]
 
     def test_overlapping_edges(self):
         hits = minimal_hitting_sets([frozenset({1, 2}), frozenset({2, 3})])
-        assert hits == [frozenset({2}), frozenset({1, 3})]
+        assert hits == [(2,), (1, 3)]
 
     def test_no_edges_gives_empty_transversal(self):
-        assert minimal_hitting_sets([]) == [frozenset()]
+        assert minimal_hitting_sets([]) == [()]
 
     def test_an_empty_edge_has_no_transversal(self):
         assert minimal_hitting_sets([frozenset()]) == []
@@ -39,7 +37,7 @@ class TestMinimalHittingSets:
 
     def test_allowed_filter(self):
         edges = [frozenset({1, 2}), frozenset({2, 3})]
-        assert minimal_hitting_sets(edges, allowed={2}) == [frozenset({2})]
+        assert minimal_hitting_sets(edges, allowed={2}) == [(2,)]
         assert minimal_hitting_sets(edges, allowed={1}) == []
 
     def test_results_are_pairwise_incomparable(self):
@@ -47,7 +45,7 @@ class TestMinimalHittingSets:
         hits = minimal_hitting_sets(edges)
         for a in hits:
             for b in hits:
-                assert a == b or not a <= b
+                assert a == b or not set(a) <= set(b)
 
     def test_deep_search_does_not_hit_the_recursion_limit(self):
         # one singleton edge per tuple: the only transversal picks every
@@ -92,7 +90,9 @@ class TestMinimalHittingSets:
             ]
             expected = [h for h in all_hits if not any(o < h for o in all_hits)]
             expected.sort(key=lambda h: (len(h), sorted(h)))
-            assert minimal_hitting_sets(edges, allowed=allowed) == expected
+            assert minimal_hitting_sets(edges, allowed=allowed) == [
+                tuple(sorted(h)) for h in expected
+            ]
 
     def test_path_and_cycle_counts_follow_padovan_and_perrin(self):
         # the minimal vertex covers of the path on n vertices number
@@ -165,6 +165,21 @@ class TestSRepairs:
         records = s_repairs(problem.instance, problem.dcs)
         assert removed_sets(records) == [set()]
         assert records[0].repair == problem.instance
+
+
+class TestRepairRecord:
+    def test_stores_the_increasing_removed_tids(self, load):
+        problem = load("example1.cdl")
+        dcs = negate_query_to_dc(problem.query("q"))
+        records = s_repairs(problem.instance, dcs)
+        assert [r.removed_tids for r in records] == [(6,), (1, 3), (3, 4)]
+        for r in records:
+            assert r.removed == frozenset(r.removed_tids)
+            assert not hasattr(r, "__dict__")
+        # the source takes no part in equality or hashing
+        other = RepairRecord(parse_problem("S(a).").instance, (1, 3))
+        assert other == records[1] and hash(other) == hash(records[1])
+        assert other != RepairRecord(problem.instance, (3, 4))
 
 
 class TestCRepairs:
