@@ -64,7 +64,6 @@ from .null_causes import (
 from .asp import (
     CanonicalFormError,
     EmitOptions,
-    ProgramText,
     canonical_program,
     emit_null_repair_program,
     emit_tuple_repair_program,

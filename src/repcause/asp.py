@@ -57,11 +57,6 @@ class EmitOptions:
                 )
 
 
-@dataclass(frozen=True)
-class ProgramText:
-    text: str
-
-
 _VAR_LETTERS = ["X", "Y", "Z", "U", "V", "W"]
 
 
@@ -149,7 +144,7 @@ def emit_tuple_repair_program(
     instance: Instance,
     dcs: Sequence[DenialConstraint],
     options: EmitOptions = EmitOptions(),
-) -> ProgramText:
+) -> str:
     options.validate(instance)
     lines = _fact_line(instance)
     lines.append("")
@@ -189,7 +184,7 @@ def emit_tuple_repair_program(
         for name, arity in preds:
             vs = ",".join(_fresh_vars(arity))
             lines.append(f":~ {name}_a(T,{vs},d).")
-    return ProgramText("\n".join(lines).strip() + "\n")
+    return "\n".join(lines).strip() + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +232,7 @@ def emit_null_repair_program(
     instance: Instance,
     dcs: Sequence[DenialConstraint],
     options: EmitOptions = EmitOptions(),
-) -> ProgramText:
+) -> str:
     options.validate(instance)
     lines = _fact_line(instance)
     lines.append("")
@@ -283,7 +278,7 @@ def emit_null_repair_program(
                     f"cause(T,{j},{vs[j - 1]}) :- {name}_a(T,{nulled},s), "
                     f"{name}(T,{','.join(fresh)})."
                 )
-    return ProgramText("\n".join(lines).strip() + "\n")
+    return "\n".join(lines).strip() + "\n"
 
 
 # ---------------------------------------------------------------------------

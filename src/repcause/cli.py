@@ -446,7 +446,7 @@ def _cmd_emit_asp(problem: Problem, args: argparse.Namespace) -> int:
     include = frozenset(p for p in args.include.split(",") if p)
     options = EmitOptions(flavor=args.flavor, include=include, maxint=args.maxint)
     emit = emit_null_repair_program if args.semantics == "null" else emit_tuple_repair_program
-    print(emit(problem.instance, dcs, options).text, end="")
+    print(emit(problem.instance, dcs, options), end="")
     return 0
 
 
@@ -492,6 +492,16 @@ def _cmd_eval(problem: Problem, args: argparse.Namespace) -> int:
     return 0
 
 
+_COMMANDS: Dict[str, Callable[[Problem, argparse.Namespace], int]] = {
+    "repairs": _cmd_repairs,
+    "causes": functools.partial(_cmd_causes, with_sets=True),
+    "responsibility": functools.partial(_cmd_causes, with_sets=False),
+    "emit-asp": _cmd_emit_asp,
+    "check": _cmd_check,
+    "eval": _cmd_eval,
+}
+
+
 def _stdout_to_devnull() -> None:
     """Point the file descriptor under stdout at the null device, so that
     the interpreter's last flush of what stdout still buffers writes
@@ -529,19 +539,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"repcause: parse error: {exc}", file=sys.stderr)
         return 2
     try:
-        if args.command == "repairs":
-            return _cmd_repairs(problem, args)
-        if args.command == "causes":
-            return _cmd_causes(problem, args, with_sets=True)
-        if args.command == "responsibility":
-            return _cmd_causes(problem, args, with_sets=False)
-        if args.command == "emit-asp":
-            return _cmd_emit_asp(problem, args)
-        if args.command == "check":
-            return _cmd_check(problem, args)
-        if args.command == "eval":
-            return _cmd_eval(problem, args)
-        raise UsageError(f"unknown command {args.command!r}")
+        return _COMMANDS[args.command](problem, args)
     except (UsageError, LangError, ValueError) as exc:
         print(f"repcause: {exc}", file=sys.stderr)
         return 1

@@ -96,8 +96,9 @@ def null_repairs_oracle(
     instance: Instance, dcs: Sequence[DenialConstraint]
 ) -> List[NullRepairRecord]:
     """Null repairs by a check of every subset of non-null positions; the
-    check of `null_repairs`. The positions come in sort-key order, so the
-    search yields the change sets in the order `null_repairs` gives them."""
+    check of `null_repairs`. The positions come in (relation, tid,
+    position) order, `PositionRef`'s own, so the search yields the change
+    sets in the order `null_repairs` gives them."""
     deltas = minimal_subsets(
         instance.non_null_positions(),
         lambda delta: is_consistent(instance.apply_update(delta), dcs),

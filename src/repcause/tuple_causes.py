@@ -123,23 +123,31 @@ def _build_reports(
             max_size is None or len(removed) <= max_size + 1
         ):
             shown.append(removed[:i] + removed[i + 1:])
-    return _ranked(
-        TupleCauseReport(tid, smallest == 1, tuple(shown), Fraction(1, smallest))
-        for tid, (smallest, shown) in found.items()
+    return _ranked_reports(
+        (smallest, tid, tuple(shown)) for tid, (smallest, shown) in found.items()
     )
 
 
-def _ranked(reports: Iterable[TupleCauseReport]) -> List[TupleCauseReport]:
-    """The reports by decreasing responsibility, then by tid."""
-    return sorted(reports, key=lambda r: (-r.responsibility, r.tid))
+def _ranked_reports(
+    found: Iterable[Tuple[int, int, Tuple[Tuple[int, ...], ...]]]
+) -> List[TupleCauseReport]:
+    """One report per (size, τ, sets): size is |Γ ∪ {τ}| for τ's smallest
+    contingency set Γ, `sets` are its listed ones. By decreasing
+    responsibility 1/size, then by tid, which is the triples' own order."""
+    return [
+        TupleCauseReport(tid, size == 1, sets, Fraction(1, size))
+        for size, tid, sets in sorted(found)
+    ]
 
 
-def _matches(
+def _match_families(
     instance: Instance, query: QuerySpec
-) -> Tuple[FrozenSet[FrozenSet[int]], Set[int]]:
-    """The tid sets of the query's matches and the endogenous tids."""
+) -> Tuple[FrozenSet[FrozenSet[int]], Set[int], List[List[Tuple[int, ...]]]]:
+    """The tid sets of the query's matches, the endogenous tids, and the
+    per-component minimal transversals of the matches cut to those tids."""
     endo = set(instance.endogenous_tids())
-    return conflict_hypergraph(instance, negate_query_to_dc(query)).edges, endo
+    matches = conflict_hypergraph(instance, negate_query_to_dc(query)).edges
+    return matches, endo, component_transversals(matches, allowed=endo)
 
 
 def _removed_sets(
@@ -152,8 +160,8 @@ def _removed_sets(
     as `ordered_product` gives it. Under them each M gives the candidate
     cl(M), kept for τ ∈ M when cl(M) is endogenous, Γ = cl(M)∖{τ} is closed
     and some match avoids Γ."""
-    matches, endo = _matches(instance, query)
-    transversals = ordered_product(component_transversals(matches, allowed=endo))
+    matches, endo, families = _match_families(instance, query)
+    transversals = ordered_product(families)
     if not ids:
         return ((tid, s, i) for s in transversals for i, tid in enumerate(s))
     witnesses = id_witnesses(instance, ids)
@@ -193,12 +201,9 @@ def actual_causes(
     `tuple_repairs.smallest_holding` reads off the per-component families.
     """
     if max_contingency_count == 0:
-        matches, endo = _matches(instance, query)
-        smallest = smallest_holding(component_transversals(matches, allowed=endo))
-        return _ranked(
-            TupleCauseReport(tid, size == 1, (), Fraction(1, size))
-            for tid, size in smallest.items()
-        )
+        _, _, families = _match_families(instance, query)
+        smallest = smallest_holding(families)
+        return _ranked_reports((size, tid, ()) for tid, size in smallest.items())
     return _build_reports(
         _removed_sets(instance, query, ()), max_contingency_count, max_contingency_size
     )

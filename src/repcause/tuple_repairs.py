@@ -52,10 +52,7 @@ def increasing(sets: Iterable[Iterable[int]]) -> List[Tuple[int, ...]]:
     return ordered
 
 
-def minimal_hitting_sets(
-    edges: Iterable[FrozenSet[int]],
-    allowed: Optional[Set[int]] = None,
-) -> List[Tuple[int, ...]]:
+def minimal_hitting_sets(edges: Iterable[FrozenSet[int]]) -> List[Tuple[int, ...]]:
     """All subset-minimal sets intersecting every edge, each as the
     increasing tuple of its members, ordered by (size, members).
     `component_transversals` runs it on each connected component of a
@@ -70,25 +67,16 @@ def minimal_hitting_sets(
     needs the vertex added to one to lie in the other, which misses the
     edge; and an extended set is never inside a kept set, since two minimal
     sets of the previous round are never comparable. With no edges the
-    result is the empty tuple alone; an empty edge makes it empty. With
-    `allowed` given, only those vertices may be picked, so an edge with no
-    allowed vertex makes the result empty too. One edge is answered
-    directly: its (allowed) vertices as singletons, in order.
+    result is the empty tuple alone; an empty edge makes it empty. One edge
+    is answered directly: its vertices as singletons, in order.
     """
     edge_set = set(edges)
     if len(edge_set) == 1:
         (edge,) = edge_set
-        if allowed is not None:
-            edge = edge.intersection(allowed)
         return [(v,) for v in sorted(edge)]
-    edge_list = increasing(edge_set)
-    if allowed is not None:
-        edge_list = [tuple(v for v in e if v in allowed) for e in edge_list]
-        if not all(edge_list):
-            return []
 
     hits: List[FrozenSet[int]] = [frozenset()]
-    for edge in edge_list:
+    for edge in increasing(edge_set):
         kept = [h for h in hits if not h.isdisjoint(edge)]
         extended = [h | {v} for h in hits if h.isdisjoint(edge) for v in edge]
         hits = kept + [x for x in extended if not any(map(x.issuperset, kept))]

@@ -219,7 +219,7 @@ def test_criterion_09_golden_emission():
     for fixture, emit, options, golden in cases:
         problem = load(fixture)
         dcs = list(problem.dcs) or negate_query_to_dc(problem.query("q"))
-        text = emit(problem.instance, dcs, options).text
+        text = emit(problem.instance, dcs, options)
         assert programs_equivalent(text, read_fixture(golden)), golden
 
     problem = load("example1.cdl")

@@ -70,14 +70,14 @@ class TestEmitOptions:
 class TestTupleProgramGoldens:
     def test_plain_non_disjunctive(self, load):
         problem = load("example1.cdl")
-        text = emit_tuple_repair_program(problem.instance, query_dcs(problem)).text
+        text = emit_tuple_repair_program(problem.instance, query_dcs(problem))
         assert programs_equivalent(text, read_fixture("example1_nondisj.dlv"))
 
     def test_disjunctive(self, load):
         problem = load("example1.cdl")
         text = emit_tuple_repair_program(
             problem.instance, query_dcs(problem), EmitOptions(flavor="disjunctive")
-        ).text
+        )
         assert programs_equivalent(text, read_fixture("example1_disj.dlv"))
 
     def test_with_cause_and_contingency_blocks(self, load):
@@ -85,42 +85,42 @@ class TestTupleProgramGoldens:
         opts = EmitOptions(
             include=frozenset({"causes", "cau_cont", "contingency_sets", "pre_rho"})
         )
-        text = emit_tuple_repair_program(problem.instance, query_dcs(problem), opts).text
+        text = emit_tuple_repair_program(problem.instance, query_dcs(problem), opts)
         assert programs_equivalent(text, read_fixture("example1_extended.dlv"))
 
     def test_with_weak_constraints(self, load):
         problem = load("example1.cdl")
         opts = EmitOptions(include=ALL_EXTRAS)
-        text = emit_tuple_repair_program(problem.instance, query_dcs(problem), opts).text
+        text = emit_tuple_repair_program(problem.instance, query_dcs(problem), opts)
         assert programs_equivalent(text, read_fixture("example1_weak.dlv"))
 
     def test_multi_constraint_unary_instance(self, load):
         problem = load("example5.cdl")
         opts = EmitOptions(include=frozenset({"causes", "cau_cont"}))
-        text = emit_tuple_repair_program(problem.instance, list(problem.dcs), opts).text
+        text = emit_tuple_repair_program(problem.instance, list(problem.dcs), opts)
         assert programs_equivalent(text, read_fixture("example5_program.dlv"))
 
     def test_two_constraints_from_a_ucq(self, load):
         problem = load("example2.cdl")
         opts = EmitOptions(include=frozenset({"causes", "cau_cont"}))
-        text = emit_tuple_repair_program(problem.instance, query_dcs(problem), opts).text
+        text = emit_tuple_repair_program(problem.instance, query_dcs(problem), opts)
         assert programs_equivalent(text, read_fixture("example2_program.dlv"))
 
 
 class TestNullProgramGoldens:
     def test_fan_out_instance(self, load):
         problem = load("example7.cdl")
-        text = emit_null_repair_program(problem.instance, query_dcs(problem)).text
+        text = emit_null_repair_program(problem.instance, query_dcs(problem))
         assert programs_equivalent(text, read_fixture("example7_null.dlv"))
 
     def test_two_tuple_chain(self, load):
         problem = load("example13.cdl")
-        text = emit_null_repair_program(problem.instance, query_dcs(problem)).text
+        text = emit_null_repair_program(problem.instance, query_dcs(problem))
         assert programs_equivalent(text, read_fixture("example13_null.dlv"))
 
     def test_triangle_instance(self, load):
         problem = load("example6.cdl")
-        text = emit_null_repair_program(problem.instance, query_dcs(problem)).text
+        text = emit_null_repair_program(problem.instance, query_dcs(problem))
         assert programs_equivalent(text, read_fixture("example6_null.dlv"))
 
 
@@ -351,7 +351,7 @@ class TestSelfContainedness:
         problem = load(fixture)
         dcs = list(problem.dcs) or query_dcs(problem)
         fn = emit_tuple_repair_program if emit == "tuple" else emit_null_repair_program
-        text = fn(problem.instance, dcs, opts).text
+        text = fn(problem.instance, dcs, opts)
         facts = set(problem.instance.schema)
         heads = set()
         for stmt in text.split("."):

@@ -31,7 +31,8 @@ from repcause import (
     s_repairs,
     tuple_null_causes,
 )
-from repcause import tuple_repairs
+from repcause import tuple_causes, tuple_repairs
+from repcause.cli import main
 from repcause.tuple_repairs import (
     component_transversals,
     minimum_families,
@@ -66,7 +67,8 @@ def check_hypergraph(edges, allowed):
     expected = [tuple(sorted(h)) for h in whole_graph_berge(edges, allowed)]
     families = component_transversals(edges, allowed)
     assert ordered_product(families) == expected
-    assert minimal_hitting_sets(edges, allowed) == expected
+    cut = edges if allowed is None else [e & allowed for e in edges]
+    assert minimal_hitting_sets(cut) == expected
     assert smallest_holding(families) == smallest_through(expected)
     assert ordered_product(minimum_families(families)) == smallest_only(expected)
     vertices = [set().union(*family) for family in families]
@@ -245,10 +247,14 @@ def test_routes_on_the_families_match_the_full_lists_and_oracles_property(
     check_routes(grouped_problem(facts, bodies, exogenous))
 
 
-def pairs(k):
+def pairs_text(k):
     """q :- R(X), S(X)? on k disjoint matches R(ai), S(ai)."""
     facts = [f"R(a{i}).\nS(a{i})." for i in range(k)]
-    return parse_problem("\n".join(facts) + "\nq :- R(X), S(X)?")
+    return "\n".join(facts) + "\nq :- R(X), S(X)?"
+
+
+def pairs(k):
+    return parse_problem(pairs_text(k))
 
 
 def test_the_per_component_search_builds_no_product(monkeypatch):
@@ -257,8 +263,8 @@ def test_the_per_component_search_builds_no_product(monkeypatch):
     sizes = []
     search = tuple_repairs.minimal_hitting_sets
 
-    def counted(edges, allowed=None):
-        family = search(edges, allowed)
+    def counted(edges):
+        family = search(edges)
         sizes.append(len(family))
         return family
 
@@ -272,3 +278,27 @@ def test_the_per_component_search_builds_no_product(monkeypatch):
     reports = attr_causes(problem.instance, problem.query("q"))
     assert {r.responsibility for r in reports} == {Fraction(1, 12)} and len(reports) == 24
     assert sizes == [2] * 12
+
+
+def test_responsibility_alone_builds_no_product(monkeypatch, tmp_path, capsys):
+    # `most_responsible_causes` and the `responsibility` command read the
+    # sizes off the families; only a listing of contingency sets takes the
+    # product of the query's transversals
+    calls = []
+    product = tuple_causes.ordered_product
+
+    def counted(families):
+        calls.append(len(families))
+        return product(families)
+
+    monkeypatch.setattr(tuple_causes, "ordered_product", counted)
+    problem = pairs(12)
+    assert most_responsible_causes(problem.instance, problem.query("q")) == list(range(1, 25))
+    assert calls == []
+    source = tmp_path / "pairs.cdl"
+    source.write_text(pairs_text(12))
+    assert main(["responsibility", str(source), "--query", "q"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 24
+    assert calls == []
+    assert main(["causes", str(source), "--query", "q"]) == 0
+    assert calls == [12]

@@ -89,6 +89,12 @@ class TestActualCauses:
         )
         assert reports[3].contingency_sets == ()
         assert reports[3].responsibility == Fraction(1, 2)
+        # a set of exactly the capped size is kept
+        assert reports[6].contingency_sets == (frozenset(),)
+        reports = by_tid(
+            actual_causes(problem.instance, problem.query("q"), max_contingency_size=1)
+        )
+        assert reports[1].contingency_sets == (frozenset({3}),)
 
 
 class TestMostResponsibleCauses:
